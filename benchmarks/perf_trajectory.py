@@ -20,10 +20,11 @@ baseline, so :mod:`repro.cluster.tailobs` stays near-free when off.
 The same 3% headroom applies against ``cluster_wall_s_energy_off`` for
 the :mod:`repro.energy` attribution plane.  The benchmark also re-runs
 the cluster sweep with tail telemetry *on*, and once more with the
-energy plane on, and fails if either pass's results differ at all —
-telemetry must never change simulation output (the energy pass must
-additionally conserve exactly).  ``--no-gate`` skips the baseline gates
-(e.g. when profiling on a deliberately slow machine); they also skip
+energy plane on, and fails if either pass's results differ at all
+(telemetry must never change simulation output; the energy pass must
+additionally conserve exactly) or if either pass falls back from the
+compiled event kernel.  ``--no-gate`` skips the baseline gates (e.g.
+when profiling on a deliberately slow machine); they also skip
 themselves when no C compiler is available.
 
 Usage::
@@ -153,22 +154,26 @@ def _sweep() -> tuple[GridRunStats, float]:
 def _cluster_sweep():
     """Time the pinned cluster cell under strict validation.
 
-    Returns ``(cell, wall_s, violations)``; the L1 cluster cache is
-    cleared first so the wall time covers a real simulation.
+    Returns ``(cell, wall_s, violations, kernel_servers)``; the L1
+    cluster cache is cleared first so the wall time covers a real
+    simulation.  ``kernel_servers`` counts the servers that ran in the
+    compiled event kernel (from the ``cluster.fastpath_servers`` obs
+    counter, so obs must be enabled).
     """
     workload = {w.name: w for w in standard_microservices()}[CLUSTER_WORKLOAD]
     clear_cluster_cache()
+    servers_before = obs.value("cluster.fastpath_servers")
     start = time.perf_counter()
     with validate.collecting() as found:
         cell = run_cluster_cell(
             "duplexity", workload, CLUSTER_LOAD, CLUSTER_CONFIG, FAST
         )
-    return cell, time.perf_counter() - start, list(found)
+    wall = time.perf_counter() - start
+    kernel_servers = obs.value("cluster.fastpath_servers") - servers_before
+    return cell, wall, list(found), kernel_servers
 
 
-def _jsq_simulator(
-    num_requests: int, force_event_loop: bool | str = False
-) -> ClusterSimulator:
+def _jsq_simulator(num_requests: int) -> ClusterSimulator:
     """The pinned JSQ simulator, built exactly like ``run_cluster_cell``
     (same measurement-derived service model, saturation-clamped rate, and
     derived seed) so the timed runs match the experiment path."""
@@ -196,7 +201,6 @@ def _jsq_simulator(
         fanout=config.fanout,
         balancer=config.balancer,
         seed=derive_seed(FAST.seed, f"cluster-cell/{config.seed}"),
-        force_event_loop=force_event_loop,
     )
 
 
@@ -218,12 +222,15 @@ def _jsq_sweep(compiled_available: bool):
     violations = validate.check(result, subject="perf-cluster-jsq")
     kernel_ran = result.fastpath_servers == JSQ_CLUSTER_CONFIG.n_servers
 
-    python_sim = _jsq_simulator(
-        JSQ_PYTHON_REQUESTS, force_event_loop="python"
-    )
-    start = time.perf_counter()
-    python_sim.run(JSQ_PYTHON_REQUESTS, JSQ_PYTHON_WARMUP)
-    python_wall = time.perf_counter() - start
+    python_sim = _jsq_simulator(JSQ_PYTHON_REQUESTS)
+    mode = fastpath.mode()
+    fastpath.set_mode("off")  # the Python reference loop
+    try:
+        start = time.perf_counter()
+        python_sim.run(JSQ_PYTHON_REQUESTS, JSQ_PYTHON_WARMUP)
+        python_wall = time.perf_counter() - start
+    finally:
+        fastpath.set_mode(mode)
     python_est = python_wall * (num_requests / JSQ_PYTHON_REQUESTS)
     speedup = python_est / compiled_wall if compiled_wall > 0 else 0.0
     section = {
@@ -287,7 +294,9 @@ def main(argv: list[str] | None = None) -> int:
             # Pinned cluster sweep, on the same (now-warm) measurements.
             # Telemetry off (the default): this is the wall time the
             # tailobs off-path gate below protects.
-            cluster_cell, cluster_wall, cluster_violations = _cluster_sweep()
+            cluster_cell, cluster_wall, cluster_violations, _ = (
+                _cluster_sweep()
+            )
 
             # Same sweep with per-request tail telemetry on.  The disk
             # layer is bypassed (the off pass warmed it and telemetry
@@ -298,7 +307,9 @@ def main(argv: list[str] | None = None) -> int:
             tailobs.reset()
             tailobs.enable()
             try:
-                cluster_cell_on, cluster_wall_on, _ = _cluster_sweep()
+                cluster_cell_on, cluster_wall_on, _, tailobs_kernel = (
+                    _cluster_sweep()
+                )
                 tailobs_records = sum(
                     len(run.records) for run in tailobs.snapshot().runs
                 )
@@ -315,7 +326,12 @@ def main(argv: list[str] | None = None) -> int:
             prof.reset()
             energy.enable()
             try:
-                cluster_cell_energy, cluster_wall_energy, _ = _cluster_sweep()
+                (
+                    cluster_cell_energy,
+                    cluster_wall_energy,
+                    _,
+                    energy_kernel,
+                ) = _cluster_sweep()
                 esnap = energy.snapshot()
                 energy_records = (
                     len(esnap.cores)
@@ -329,6 +345,9 @@ def main(argv: list[str] | None = None) -> int:
                 prof.reset()
             cache.configure(root=tmp, enabled=True)
             energy_identical = cluster_cell_energy == cluster_cell
+            n_servers = CLUSTER_CONFIG.n_servers
+            tailobs_kernel_ran = tailobs_kernel == n_servers
+            energy_kernel_ran = energy_kernel == n_servers
 
             # Pinned JSQ sweep: the compiled event kernel at acceptance
             # scale against an extrapolated Python-loop leg (same warm
@@ -379,6 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "tailobs_records": tailobs_records,
             "tailobs_identical_results": telemetry_identical,
+            "tailobs_kernel_ran": tailobs_kernel_ran,
             "wall_s_energy_on": round(cluster_wall_energy, 3),
             "energy_on_overhead": (
                 round(cluster_wall_energy / cluster_wall, 3)
@@ -387,6 +407,7 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "energy_records": energy_records,
             "energy_identical_results": energy_identical,
+            "energy_kernel_ran": energy_kernel_ran,
             "energy_conserved": energy_conserved,
             "p999_us": round(cluster_cell.p999_us, 3),
             "p999_rel_err": round(cluster_cell.p999_rel_err, 5),
@@ -445,6 +466,18 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         failed = True
+    for plane, ran in (
+        ("TAILOBS", tailobs_kernel_ran),
+        ("ENERGY", energy_kernel_ran),
+    ):
+        if compiled_available and not ran:
+            print(
+                f"{plane} KERNEL FAILED TO BIND: the telemetry-on cluster"
+                " pass fell back to the Python event loop despite a"
+                " compiler being available",
+                file=sys.stderr,
+            )
+            failed = True
     if jsq_violations:
         print(
             f"JSQ VALIDATION FAILED: {len(jsq_violations)} invariant"

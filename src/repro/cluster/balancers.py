@@ -4,12 +4,11 @@ Two families:
 
 - *State-independent* (``random``, ``round_robin``): the full
   ``(n, fanout)`` assignment matrix is a pure function of the dispatch
-  stream, so :class:`~repro.cluster.sim.ClusterSimulator` can simulate
-  each server's whole arrival subsequence independently (and feed the
-  compiled Lindley kernel).
+  stream, so :class:`~repro.cluster.sim.ClusterSimulator` draws it up
+  front and its event loop (compiled or Python) just walks it.
 - *State-dependent* (``jsq``, ``power_of_two``): selection reads the
-  per-server queue lengths at dispatch time, so the simulator must run
-  the global-order event loop.
+  per-server queue lengths at dispatch time, so the event loop calls
+  :meth:`Balancer.select` (or its C port) per request.
 
 Each mid-tier request is dispatched to ``fanout`` *distinct* servers.
 Queue-length ties break uniformly at random (via the dispatch stream),
@@ -69,9 +68,11 @@ class RandomBalancer(Balancer):
         if fanout == 1:
             return rng.integers(0, n_servers, size=(n, 1))
         # fanout distinct servers per request: rank per-request random
-        # keys (a vectorized Fisher-Yates-equivalent draw).
+        # keys (a vectorized Fisher-Yates-equivalent draw).  Copied out
+        # contiguously so the result does not pin the whole
+        # (n, n_servers) argsort behind a strided view.
         keys = rng.random((n, n_servers))
-        return np.argsort(keys, axis=1)[:, :fanout]
+        return np.ascontiguousarray(np.argsort(keys, axis=1)[:, :fanout])
 
     def select(self, rng, fanout, n_servers, queue_lengths):
         if fanout == 1:

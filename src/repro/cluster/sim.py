@@ -14,36 +14,24 @@ per run derives independent named streams — ``arrivals`` (+
 ``arrivals/mod``) for the arrival process, ``dispatch`` for balancer
 randomness, and ``server/<i>`` per leaf server's service draws.  Every
 stream is a pure function of ``(seed, label)``, so results are
-bit-identical whether servers are simulated independently (the
-vectorized path), in the global-order event loop, or in a worker pool.
+bit-identical whether the compiled kernel or the Python oracle runs,
+serially or in a worker pool.
 
-Execution strategy:
-
-- *State-independent* balancers pre-commit the full assignment matrix,
-  so each server's arrival subsequence is known up front and its whole
-  recurrence runs in one shot — through the compiled
-  ``rfp_lindley_epochs`` kernel when the service model is batchable
-  (same eligibility contract as the single-server fast path: the
-  ``batch_base`` protocol plus the stream-safe whitelist), falling back
-  per-server to a scalar loop with identical float arithmetic.
-- *State-dependent* balancers (JSQ, power-of-two) need queue lengths at
-  dispatch time, so they run a global-order event loop.  Per-server
-  arithmetic and stream consumption are identical, which is pinned by a
-  differential test forcing a state-independent policy through both
-  executors.  The event loop itself has two implementations: a compiled
-  C kernel (``rfp_cluster_events``) that consumes the dispatch stream
-  live through a PCG64 port and pre-draws service times through the
-  ``batch_base`` ladder with mid-run eject/refill, and the pure-Python
-  reference loop — byte-identical by construction and by differential
-  test.  Tailobs-enabled runs and ineligible service models stay on the
-  Python loop.
-
-``force_event_loop`` pins the executor choice for tests and
-differential baselines: ``True`` routes state-*independent* balancers
-through the event loop instead of the vectorized per-server path (the
-compiled event kernel may still run), and ``"python"`` additionally
-bypasses the compiled event kernel so the pure-Python reference loop is
-guaranteed.  ``False`` (the default) lets the simulator choose.
+Execution: one global-order event loop serves every balancer.
+*State-independent* balancers (random, round-robin) pre-commit the full
+assignment matrix; *state-dependent* ones (JSQ, power-of-two) select
+from the queue lengths at dispatch time.  The loop has one compiled
+implementation, the C kernel ``rfp_cluster_events``: it walks the
+assignment matrix (assign mode) or consumes the dispatch stream live
+through a PCG64 port (JSQ / power-of-two modes), and pre-draws service
+times through the ``batch_base`` ladder with mid-run eject/refill.  The
+pure-Python loop below is the reference oracle, byte-identical by
+construction and by differential test.  The oracle runs when
+``fastpath.mode() == "off"`` (``REPRO_FASTPATH=off``), when no kernel
+can be built, and for ineligible runs: a service model that is not
+stream-safe (e.g. multi-draw RSC/McRouter phases), a non-PCG64 dispatch
+generator, or tail telemetry on a state-dependent balancer (which needs
+the per-request decisions the kernel does not report).
 
 Window semantics carry over from the M/G/1 path: the measurement window
 is ``[arrival of mid-tier request warmup, last departure cluster-wide]``
@@ -103,7 +91,8 @@ class ClusterResult:
     #: Variance-to-mean ratio of arrival counts for the arrival process
     #: (1.0 for Poisson); validation scales rate-noise slack by its root.
     arrival_dispersion: float = 1.0
-    #: How many servers ran the compiled epoch-Lindley kernel.
+    #: How many servers ran in the compiled event kernel: all of them
+    #: when it bound, 0 when the Python oracle ran.
     fastpath_servers: int = field(default=0, compare=False)
 
     @property
@@ -129,89 +118,6 @@ class ClusterResult:
         return percentile(self.sojourn_times, q)
 
 
-def _simulate_server_batched(
-    epochs: np.ndarray,
-    service: ServiceModel,
-    rng: np.random.Generator,
-    warmup_count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    """Compiled epoch-Lindley over one server's arrival subsequence.
-
-    Mirrors ``MG1Simulator._run_batched``'s eligibility ladder; returns
-    ``None`` (with ``rng`` untouched) whenever the scalar loop must run.
-    """
-    from repro.uarch import fastpath
-
-    if fastpath.mode() == "off":
-        return None
-    batch = getattr(service, "batch_base", None)
-    if batch is None:
-        return None
-    from repro.uarch.fastpath.build import load_kernel
-
-    lib = load_kernel()
-    if lib is None:
-        return None
-    n = int(epochs.size)
-    decomposed = batch(rng, n)
-    if decomposed is None:
-        return None
-    base, penalty, has_penalty = decomposed
-
-    waits = np.empty(n)
-    services = np.empty(n)
-    idle_buf = np.empty(n)
-    out1 = np.zeros(1)
-    nidles = lib.rfp_lindley_epochs(
-        epochs.ctypes.data,
-        n,
-        warmup_count,
-        1 if has_penalty else 0,
-        float(penalty),
-        base.ctypes.data,
-        waits.ctypes.data,
-        services.ctypes.data,
-        idle_buf.ctypes.data,
-        out1.ctypes.data,
-    )
-    if nidles < 0:
-        raise ValueError("service model produced a negative time")
-    return waits, services, idle_buf[: int(nidles)].copy(), float(out1[0])
-
-
-def _simulate_server_scalar(
-    epochs: np.ndarray,
-    service: ServiceModel,
-    rng: np.random.Generator,
-    warmup_count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Scalar reference for one server; float arithmetic identical to the
-    compiled kernel and to the global event loop."""
-    n = int(epochs.size)
-    waits = np.empty(n)
-    services = np.empty(n)
-    idles: list[float] = []
-    completion = 0.0
-    for k in range(n):
-        t = epochs[k]
-        residual = completion - t
-        if residual >= 0.0:
-            wait = residual
-            idle_before = 0.0
-        else:
-            wait = 0.0
-            idle_before = -residual
-            if k > warmup_count:
-                idles.append(idle_before)
-        s = service.service_time(rng, idle_before)
-        if s < 0:
-            raise ValueError("service model produced a negative time")
-        waits[k] = wait
-        services[k] = s
-        completion = t + wait + s
-    return waits, services, np.asarray(idles, dtype=float), completion
-
-
 class ClusterSimulator:
     """N FCFS dyad-servers behind a load balancer with fork-join fan-out."""
 
@@ -223,7 +129,6 @@ class ClusterSimulator:
         fanout: int = 1,
         balancer: str | Balancer = "random",
         seed: int = 0,
-        force_event_loop: bool | str = False,
     ):
         if isinstance(arrivals, (int, float)):
             arrivals = PoissonArrivals(float(arrivals))
@@ -235,21 +140,12 @@ class ClusterSimulator:
             raise ValueError(
                 f"fan-out must be in [1, n_servers={n_servers}], got {fanout!r}"
             )
-        if force_event_loop not in (False, True, "python"):
-            raise ValueError(
-                "force_event_loop must be False, True or 'python', got "
-                f"{force_event_loop!r}"
-            )
         self.arrivals = arrivals
         self.service = service
         self.n_servers = n_servers
         self.fanout = fanout
         self.balancer = get_balancer(balancer)
         self.seed = seed
-        #: Executor pin (see the module docstring): ``True`` forces the
-        #: global event loop even for state-independent balancers;
-        #: ``"python"`` additionally bypasses the compiled event kernel.
-        self.force_event_loop = force_event_loop
 
     @classmethod
     def at_load(
@@ -261,7 +157,6 @@ class ClusterSimulator:
         balancer: str | Balancer = "random",
         seed: int = 0,
         arrivals=None,
-        force_event_loop: bool | str = False,
     ) -> "ClusterSimulator":
         """Build a cluster offered per-server leaf load ``load`` (rho).
 
@@ -287,7 +182,6 @@ class ClusterSimulator:
             fanout=fanout,
             balancer=balancer,
             seed=seed,
-            force_event_loop=force_event_loop,
         )
 
     def run(self, num_requests: int, warmup: int = 0) -> ClusterResult:
@@ -360,47 +254,7 @@ class ClusterSimulator:
                 self.fanout,
                 self.n_servers,
             )
-        if assign is not None and not self.force_event_loop:
-            return self._run_per_server(streams, epochs, assign, num_requests, warmup)
         return self._run_event_loop(streams, epochs, assign, num_requests, warmup)
-
-    def _run_per_server(
-        self,
-        streams: SeedSequenceFactory,
-        epochs: np.ndarray,
-        assign: np.ndarray,
-        num_requests: int,
-        warmup: int,
-    ) -> ClusterResult:
-        """Vectorized executor: one independent recurrence per server."""
-        fanout = self.fanout
-        leaf_server = assign.ravel()  # request-major, slot-minor leaf order
-        leaf_epochs = np.repeat(epochs, fanout)
-        leaf_sojourns = np.empty(num_requests * fanout)
-        warmup_leaves = warmup * fanout
-        per_server = []
-        fast_servers = 0
-        for i in range(self.n_servers):
-            sel = np.flatnonzero(leaf_server == i)
-            eps_i = np.ascontiguousarray(leaf_epochs[sel])
-            # Leaves dispatched by pre-warmup mid-tier requests are this
-            # server's warmup (sel is ascending, so count < warmup*fanout).
-            w_i = int(np.searchsorted(sel, warmup_leaves))
-            rng_i = streams.get(f"{SERVER_STREAM_PREFIX}{i}")
-            batched = _simulate_server_batched(eps_i, self.service, rng_i, w_i)
-            if batched is not None:
-                waits, services, idles, last_departure = batched
-                fast_servers += 1
-            else:
-                waits, services, idles, last_departure = _simulate_server_scalar(
-                    eps_i, self.service, rng_i, w_i
-                )
-            leaf_sojourns[sel] = waits + services
-            per_server.append((waits, services, idles, last_departure, w_i))
-        sojourns = leaf_sojourns.reshape(num_requests, fanout).max(axis=1)
-        return self._assemble(
-            epochs, sojourns, per_server, warmup, fast_servers, assign
-        )
 
     def _run_event_loop(
         self,
@@ -410,16 +264,11 @@ class ClusterSimulator:
         num_requests: int,
         warmup: int,
     ) -> ClusterResult:
-        """Global-order executor for state-dependent balancers.
-
-        Tries the compiled event kernel first (dispatch stream consumed
-        live via the C PCG64 port, service draws through ``batch_base``
-        with eject/refill); falls back to the pure-Python reference loop
-        when the kernel is off, unavailable, bypassed
-        (``force_event_loop="python"``), ineligible, or when tail
-        telemetry needs per-request dispatch decisions.
-        """
+        """The one executor: the compiled event kernel when it binds,
+        else the pure-Python reference oracle (see the module docstring
+        for when the oracle runs)."""
         from repro.cluster import tailobs
+        from repro.uarch import fastpath
 
         n_servers = self.n_servers
         # Telemetry keeps the dispatch decisions; this is pure recording
@@ -435,30 +284,29 @@ class ClusterSimulator:
         dispatch_rng = (
             streams.get(DISPATCH_STREAM) if assign is None else None
         )
-        if self.force_event_loop != "python" and not tailobs.is_enabled():
-            from repro.uarch import fastpath
+        # The kernel does not report per-request decisions, so a run that
+        # must record them stays on the Python loop.
+        if fastpath.mode() != "off" and decisions is None:
+            from repro.uarch.fastpath import cluster as fp_cluster
 
-            if fastpath.mode() != "off":
-                from repro.uarch.fastpath import cluster as fp_cluster
-
-                compiled = fp_cluster.run_cluster_events(
-                    epochs=epochs,
-                    assign=assign,
-                    fanout=self.fanout,
-                    n_servers=n_servers,
-                    num_requests=num_requests,
-                    warmup=warmup,
-                    service=self.service,
-                    rngs=rngs,
-                    dispatch_rng=dispatch_rng,
-                    balancer=self.balancer,
+            compiled = fp_cluster.run_cluster_events(
+                epochs=epochs,
+                assign=assign,
+                fanout=self.fanout,
+                n_servers=n_servers,
+                num_requests=num_requests,
+                warmup=warmup,
+                service=self.service,
+                rngs=rngs,
+                dispatch_rng=dispatch_rng,
+                balancer=self.balancer,
+            )
+            if compiled is not None:
+                sojourns, per_server = compiled
+                obs.add("cluster.event_kernel_runs")
+                return self._assemble(
+                    epochs, sojourns, per_server, warmup, n_servers, assign
                 )
-                if compiled is not None:
-                    sojourns, per_server = compiled
-                    obs.add("cluster.event_kernel_runs")
-                    return self._assemble(
-                        epochs, sojourns, per_server, warmup, n_servers, assign
-                    )
         obs.add("cluster.event_python_runs")
         completion = [0.0] * n_servers
         queue_lengths = np.zeros(n_servers, dtype=np.int64)
@@ -497,7 +345,7 @@ class ClusterSimulator:
                 else:
                     wait = 0.0
                     idle_before = -residual
-                    # Same retention rule as the per-server executors
+                    # The M/G/1 retention rule, server-locally
                     # (`k > warmup_count`): every warmup leaf at this
                     # server precedes every retained one, so the count is
                     # final by the time retained leaves arrive.

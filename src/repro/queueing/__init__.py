@@ -1,6 +1,5 @@
 """Request-granularity queueing simulation (BigHouse methodology)."""
 
-from repro.queueing.event import EventQueue
 from repro.queueing.fanout import (
     FanOutMax,
     expected_max_exponential,
@@ -26,7 +25,6 @@ from repro.queueing.stats import (
 __all__ = [
     "DistributionService",
     "Estimate",
-    "EventQueue",
     "FanOutMax",
     "IdlePeriodLaw",
     "MG1Simulator",

@@ -93,10 +93,6 @@ _SIGNATURES = {
         _I64,
         [_PTR, _I64, _I64, _I64, ctypes.c_double, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     ),
-    "rfp_lindley_epochs": (
-        _I64,
-        [_PTR, _I64, _I64, _I64, ctypes.c_double, _PTR, _PTR, _PTR, _PTR, _PTR],
-    ),
     "rfp_tracegen": (
         _I64,
         [_PTR] * 16 + [_PTR] * 9,

@@ -4,20 +4,24 @@
 :class:`repro.cluster.sim.ClusterSimulator` inside the C kernel.  The
 two stream families cross the boundary differently:
 
-* **Dispatch stream** — JSQ / power-of-two selection draws are
-  data-dependent, so the kernel consumes the stream *live* through a C
-  port of PCG64: the ``Generator.bit_generator.state`` words are handed
-  in on entry and written back on exit, so the dispatch stream advances
-  exactly as the interpreted loop would have advanced it.
+* **Dispatch stream** — random / round-robin decisions are the
+  precomputed assignment matrix (assign mode, no stream crosses).
+  JSQ / power-of-two selection draws are data-dependent, so the kernel
+  consumes the stream *live* through a C port of PCG64: the
+  ``Generator.bit_generator.state`` words are handed in on entry and
+  written back on exit, so the dispatch stream advances exactly as the
+  interpreted loop would have advanced it.
 * **Server streams** — base service times go through the ``batch_base``
-  pre-draw ladder.  Which server serves the next leaf is not known in
-  advance, so each server gets a chunked pre-drawn buffer; when any
-  server runs dry (or an output buffer fills) the kernel *ejects* back
-  to Python, the driver refills/grows, and re-enters — the same
-  ``while not done`` resume contract as the engine adapter.  Chunked
-  pre-drawing consumes each server stream in the same order as the
-  scalar loop, so waits/services/idles are byte-identical; the server
-  generators themselves are run-local and discarded afterwards.
+  pre-draw ladder.  Under JSQ / power-of-two, which server serves the
+  next leaf is not known in advance, so each server gets a chunked
+  pre-drawn buffer; when any server runs dry (or an output buffer
+  fills) the kernel *ejects* back to Python, the driver refills/grows,
+  and re-enters — the same ``while not done`` resume contract as the
+  engine adapter.  Assign mode uses the same buffers, sized exactly
+  from the matrix.  Chunked pre-drawing consumes each server stream in
+  the same order as the Python loop, so waits/services/idles are
+  byte-identical; the server generators themselves are run-local and
+  discarded afterwards.
 
 Ineligible configurations (non-PCG64 dispatch generators, service
 models without a stream-safe ``batch_base``, unknown balancer
@@ -128,7 +132,20 @@ def run_cluster_events(
         return None
     _, penalty, has_penalty = probe
 
-    cap = initial_capacity(num_requests, fanout, n_servers)
+    assign_arr = (
+        np.ascontiguousarray(assign, dtype=np.int64)
+        if assign is not None
+        else None
+    )
+    if mode == 0:
+        # The assignment matrix fixes every server's leaf count up front,
+        # so the buffers are sized exactly and never grow.  The one spare
+        # slot keeps a finished server's room positive: the kernel ejects
+        # to grow whenever any server has no room left.
+        counts = np.bincount(assign_arr.ravel(), minlength=n_servers)
+        cap = int(counts.max()) + 1
+    else:
+        cap = initial_capacity(num_requests, fanout, n_servers)
     svc = np.empty((n_servers, cap))
     svc_filled = np.zeros(n_servers, dtype=np.int64)
     waits = np.empty((n_servers, cap))
@@ -148,11 +165,6 @@ def run_cluster_events(
     scratch_d = np.empty(n_servers)
     scratch_i = np.empty(2 * fanout, dtype=np.int64)
     ctl = np.zeros(2, dtype=np.int64)
-    assign_arr = (
-        np.ascontiguousarray(assign, dtype=np.int64)
-        if assign is not None
-        else None
-    )
     pcg = _pack_pcg(dispatch_rng) if mode != 0 else np.zeros(6, dtype=np.uint64)
 
     def refill(i: int) -> None:
@@ -233,11 +245,12 @@ def run_cluster_events(
 
     if mode != 0:
         _unpack_pcg(dispatch_rng, pcg)
+    del svc  # the pre-drawn buffer is spent; free it before assembly
     per_server = [
         (
-            waits[i, : int(out_cnt[i])].copy(),
-            services[i, : int(out_cnt[i])].copy(),
-            idles[i, : int(idle_cnt[i])].copy(),
+            waits[i, : int(out_cnt[i])],
+            services[i, : int(out_cnt[i])],
+            idles[i, : int(idle_cnt[i])],
             float(completion[i]),
             int(warmup_cnt[i]),
         )

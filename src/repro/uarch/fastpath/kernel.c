@@ -1829,45 +1829,6 @@ i64 rfp_lindley(const double *gaps, i64 n, i64 warmup, i64 has_penalty,
     return nidles;
 }
 
-/* Epoch-based Lindley variant for the cluster layer (cluster/sim.py).
- * A server inside a cluster receives leaf arrivals as absolute epochs on
- * the shared cluster clock (not inter-arrival gaps: re-accumulating
- * per-server gap diffs would not reproduce the epochs bit-for-bit), so
- * the recurrence tracks the server's completion time directly — the
- * exact scalar double operations of the cluster event loop.  `warmup` is
- * the server-local index of its first retained arrival; idle periods are
- * retained under the same `k > warmup` rule as rfp_lindley.  Returns the
- * retained-idle count, or -1 when a service time is negative; out1[0]
- * receives the server's final departure epoch. */
-i64 rfp_lindley_epochs(const double *epochs, i64 n, i64 warmup,
-                       i64 has_penalty, double penalty, const double *base,
-                       double *waits, double *services, double *idles,
-                       double *out1) {
-    double completion = 0.0;
-    i64 nidles = 0;
-    for (i64 k = 0; k < n; k++) {
-        double t = epochs[k];
-        double residual = completion - t;
-        double wait, idle_before;
-        if (residual >= 0.0) {
-            wait = residual;
-            idle_before = 0.0;
-        } else {
-            wait = 0.0;
-            idle_before = -residual;
-            if (k > warmup) idles[nidles++] = idle_before;
-        }
-        double service = base[k];
-        if (has_penalty && idle_before > 0.0) service = service + penalty;
-        if (service < 0.0) return -1;
-        waits[k] = wait;
-        services[k] = service;
-        completion = t + wait + service;
-    }
-    out1[0] = completion;
-    return nidles;
-}
-
 /* ------------------------------------------------------------ tracegen
  * Port of the per-instruction loop in workloads/tracegen.py.  All
  * randomness is pre-drawn in bulk by the Python caller (the bitstream is
@@ -2190,8 +2151,10 @@ void rfp_pcg64_choice2(uint64_t *words, i64 pop, i64 *out) {
 
 /* ---------------------------------------------- cluster event loop
  * Port of ClusterSimulator._run_event_loop (cluster/sim.py): the
- * global-order executor for state-dependent balancers.  Selection
- * consumes the dispatch PCG64 stream live; service times arrive
+ * global-order executor for every balancer.  State-independent ones
+ * pass their precomputed assignment matrix (mode 0); JSQ and
+ * power-of-two selection consumes the dispatch PCG64 stream live.
+ * Service times arrive
  * pre-drawn per server (the batch_base ladder) and the driver refills
  * them chunk-wise when the kernel ejects.  All queueing arithmetic is
  * the reference loop's scalar double ops, so results are byte-identical.

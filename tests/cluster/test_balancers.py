@@ -40,6 +40,17 @@ def test_random_assignments_distinct_and_in_range(fanout):
         assert len(set(row.tolist())) == fanout
 
 
+@pytest.mark.parametrize("fanout", [1, 3])
+def test_random_assignments_own_contiguous_memory(fanout):
+    """The matrix must not be a strided view pinning the full
+    (n, n_servers) argsort behind it."""
+    assign = RandomBalancer().assignments(
+        np.random.default_rng(0), n=100, fanout=fanout, n_servers=8
+    )
+    assert assign.flags.c_contiguous
+    assert assign.base is None
+
+
 def test_random_assignments_cover_all_servers():
     assign = RandomBalancer().assignments(
         np.random.default_rng(1), n=2000, fanout=1, n_servers=8

@@ -1,6 +1,8 @@
 """The compiled cluster event loop: byte-identity with the Python
 reference, stream end-state, eject/refill/growth paths, and the
 eligibility ladder (spy tests proving when the kernel must NOT bind).
+The randomized kernel-vs-oracle differential lives in
+``test_executor_fuzz.py``.
 """
 
 from dataclasses import dataclass
@@ -49,7 +51,6 @@ def make_sim(
     service=SERVICE,
     seed=11,
     load=0.7,
-    force_event_loop=False,
 ):
     return ClusterSimulator.at_load(
         load,
@@ -59,8 +60,16 @@ def make_sim(
         balancer=balancer,
         seed=seed,
         arrivals=arrivals,
-        force_event_loop=force_event_loop,
     )
+
+
+def run_oracle(sim, num_requests, warmup):
+    """Run ``sim`` on the Python reference loop."""
+    fastpath.set_mode("off")
+    try:
+        return sim.run(num_requests, warmup)
+    finally:
+        fastpath.set_mode(None)
 
 
 @needs_kernel
@@ -84,12 +93,13 @@ class TestKernelByteIdentity:
             compiled = make_sim(
                 balancer, fanout, arrivals=process, service=service
             ).run(3_000, 300)
-            reference = make_sim(
-                balancer, fanout, arrivals=process, service=service,
-                force_event_loop="python",
-            ).run(3_000, 300)
         finally:
             fastpath.set_mode(None)
+        reference = run_oracle(
+            make_sim(balancer, fanout, arrivals=process, service=service),
+            3_000,
+            300,
+        )
         assert compiled.fastpath_servers == 5
         assert reference.fastpath_servers == 0
         assert_results_identical(compiled, reference)
@@ -112,30 +122,14 @@ class TestKernelByteIdentity:
         fastpath.set_mode("on")
         try:
             compiled = make_sim(balancer, fanout=3).run(2_000, 200)
-            reference = make_sim(
-                balancer, fanout=3, force_event_loop="python"
-            ).run(2_000, 200)
         finally:
             fastpath.set_mode(None)
+        reference = run_oracle(make_sim(balancer, fanout=3), 2_000, 200)
         assert_results_identical(compiled, reference)
         assert len(captured) == 2
         state_kernel = captured[0].bit_generator.state
         state_python = captured[1].bit_generator.state
         assert state_kernel == state_python
-
-    def test_assign_mode_matches_vectorized_executor(self):
-        """force_event_loop=True routes a state-independent balancer
-        through the event loop (kernel mode 0: precomputed assignment
-        matrix) with results identical to the per-server executor."""
-        fastpath.set_mode("on")
-        try:
-            vectorized = make_sim("random", fanout=2).run(3_000, 300)
-            event = make_sim(
-                "random", fanout=2, force_event_loop=True
-            ).run(3_000, 300)
-        finally:
-            fastpath.set_mode(None)
-        assert_results_identical(vectorized, event)
 
     def test_refill_and_growth_paths_stay_identical(self, monkeypatch):
         """Tiny buffers force every eject path — service refills, output
@@ -148,11 +142,9 @@ class TestKernelByteIdentity:
         fastpath.set_mode("on")
         try:
             compiled = make_sim("jsq", fanout=3, load=0.9).run(1_500, 150)
-            reference = make_sim(
-                "jsq", fanout=3, load=0.9, force_event_loop="python"
-            ).run(1_500, 150)
         finally:
             fastpath.set_mode(None)
+        reference = run_oracle(make_sim("jsq", fanout=3, load=0.9), 1_500, 150)
         assert compiled.fastpath_servers == 5
         assert_results_identical(compiled, reference)
 
@@ -198,16 +190,11 @@ class TestEligibilityLadder:
             fastpath.set_mode(None)
         assert result.fastpath_servers == 0
 
-    def test_force_python_never_binds(self, monkeypatch):
-        self._bomb(monkeypatch)
-        fastpath.set_mode("on")
-        try:
-            result = make_sim("jsq", force_event_loop="python").run(500, 50)
-        finally:
-            fastpath.set_mode(None)
-        assert result.fastpath_servers == 0
-
     def test_tailobs_enabled_never_binds(self, monkeypatch):
+        """Tail telemetry on a state-dependent balancer needs the
+        per-request decisions, which only the Python loop records.
+        (State-independent balancers keep the kernel: see
+        test_tailobs.py::test_executors_produce_equal_records.)"""
         self._bomb(monkeypatch)
         fastpath.set_mode("on")
         tailobs.reset()
@@ -247,26 +234,12 @@ class TestEligibilityLadder:
         fastpath.set_mode("on")
         try:
             result = make_sim("jsq", service=TwoDraw()).run(500, 50)
-            reference = make_sim(
-                "jsq", service=TwoDraw(), force_event_loop="python"
-            ).run(500, 50)
         finally:
             fastpath.set_mode(None)
         assert returns == [None]
+        reference = run_oracle(make_sim("jsq", service=TwoDraw()), 500, 50)
         assert result.fastpath_servers == 0
         assert_results_identical(result, reference)
-
-
-class TestForceEventLoopFlag:
-    def test_rejects_unknown_values(self):
-        with pytest.raises(ValueError, match="force_event_loop"):
-            ClusterSimulator(
-                1000.0, SERVICE, n_servers=2, force_event_loop="compiled"
-            )
-
-    def test_at_load_passes_the_flag_through(self):
-        sim = make_sim("random", force_event_loop="python")
-        assert sim.force_event_loop == "python"
 
 
 class TestHeapDrainEquivalence:
@@ -279,13 +252,9 @@ class TestHeapDrainEquivalence:
 
         from repro.cluster.sim import SERVER_STREAM_PREFIX
 
-        sim = make_sim(balancer, fanout=2, force_event_loop="python")
+        sim = make_sim(balancer, fanout=2)
         num_requests, warmup = 2_000, 200
-        fastpath.set_mode("off")
-        try:
-            result = sim.run(num_requests, warmup)
-        finally:
-            fastpath.set_mode(None)
+        result = run_oracle(sim, num_requests, warmup)
 
         # The pre-heap reference loop, verbatim: per-server departure
         # deques drained by scanning every server at every arrival.

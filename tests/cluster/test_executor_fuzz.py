@@ -1,0 +1,103 @@
+"""Randomized differential: the compiled cluster event kernel against
+the Python reference oracle, over every balancer, topology, arrival
+process and service model, with buffers shrunk so the kernel's
+refill and grow ejects fire mid-run."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.arrivals import MMPPArrivals, PoissonArrivals
+from repro.cluster.sim import ClusterSimulator
+from repro.common.distributions import Exponential, LogNormal
+from repro.queueing.mg1 import RestartPenaltyService
+from repro.uarch import fastpath
+from repro.uarch.fastpath import cluster as fp_cluster
+
+pytestmark = pytest.mark.skipif(
+    not fastpath.is_available(), reason="no C compiler / kernel unavailable"
+)
+
+BALANCERS = ("random", "round_robin", "jsq", "power_of_two")
+SERVICES = (
+    Exponential(100e-6),
+    LogNormal(100e-6, 1.2),
+    RestartPenaltyService(Exponential(100e-6), 5e-6),
+)
+
+
+def assert_fields_identical(a, b):
+    """Every dataclass field equal, arrays byte for byte."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        if f.name == "fastpath_servers":
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        elif f.name == "servers":
+            assert len(x) == len(y)
+            for sx, sy in zip(x, y):
+                assert_fields_identical(sx, sy)
+        else:
+            assert x == y, f.name
+
+
+@st.composite
+def clusters(draw):
+    n_servers = draw(st.integers(1, 8))
+    fanout = draw(st.integers(1, n_servers))
+    load = draw(st.sampled_from((0.3, 0.7, 0.95)))
+    rate = load * n_servers / (fanout * 100e-6)
+    arrivals = (
+        MMPPArrivals.bursty(rate)
+        if draw(st.booleans())
+        else PoissonArrivals(rate)
+    )
+    return ClusterSimulator(
+        arrivals,
+        draw(st.sampled_from(SERVICES)),
+        n_servers=n_servers,
+        fanout=fanout,
+        balancer=draw(st.sampled_from(BALANCERS)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sim=clusters(),
+    num_requests=st.integers(1, 400),
+    warmup_frac=st.floats(0.0, 0.5),
+    chunk=st.integers(1, 16),
+    heap_cap=st.integers(1, 8),
+    out_cap=st.integers(1, 32),
+)
+def test_kernel_matches_python_oracle(
+    sim, num_requests, warmup_frac, chunk, heap_cap, out_cap
+):
+    warmup = int(num_requests * warmup_frac)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fp_cluster, "CHUNK", chunk)
+        mp.setattr(fp_cluster, "HEAP_CAP", heap_cap)
+        mp.setattr(fp_cluster, "initial_capacity", lambda n, f, s: out_cap)
+        fastpath.set_mode("on")
+        try:
+            compiled = sim.run(num_requests, warmup)
+            fastpath.set_mode("off")
+            reference = sim.run(num_requests, warmup)
+        finally:
+            fastpath.set_mode(None)
+    degenerate = (
+        sim.n_servers == 1
+        and sim.fanout == 1
+        and type(sim.arrivals) is PoissonArrivals
+    )
+    # The degenerate cluster is delegated to M/G/1 and reports no
+    # cluster-kernel servers; every other run binds the kernel.
+    assert compiled.fastpath_servers == (0 if degenerate else sim.n_servers)
+    assert reference.fastpath_servers == 0
+    assert_fields_identical(compiled, reference)

@@ -10,11 +10,7 @@ from repro.cluster.arrivals import (
     MMPPArrivals,
     PoissonArrivals,
 )
-from repro.cluster.sim import (
-    SERVER_STREAM_PREFIX,
-    ClusterSimulator,
-    _simulate_server_scalar,
-)
+from repro.cluster.sim import SERVER_STREAM_PREFIX, ClusterSimulator
 from repro.common.distributions import Exponential, LogNormal
 from repro.common.rng import SeedSequenceFactory
 from repro.queueing.mg1 import DistributionService, MG1Simulator
@@ -78,27 +74,6 @@ class TestDegenerateDelegation:
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("balancer", ["random", "round_robin"])
-    @pytest.mark.parametrize("fanout", [1, 2])
-    def test_per_server_equals_event_loop(self, balancer, fanout):
-        """Both executors produce bit-identical results for
-        state-independent policies (same float ops, same streams)."""
-        fastpath.set_mode("off")
-        try:
-            make = lambda: ClusterSimulator.at_load(
-                0.6, SERVICE, n_servers=4, fanout=fanout,
-                balancer=balancer, seed=13,
-            )
-            vectorized = make().run(4_000, 400)
-            forced = ClusterSimulator.at_load(
-                0.6, SERVICE, n_servers=4, fanout=fanout,
-                balancer=balancer, seed=13, force_event_loop=True,
-            )
-            event = forced.run(4_000, 400)
-        finally:
-            fastpath.set_mode(None)
-        assert_results_identical(vectorized, event)
-
     def test_fork_join_max_matches_manual_recurrence(self):
         """fanout == n_servers with round-robin: every server sees every
         epoch, so the cluster sojourn is the max over manually-run
@@ -117,11 +92,16 @@ class TestExecutorEquivalence:
         service = DistributionService(SERVICE)
         per_server = []
         for i in range(3):
+            # The FCFS recurrence on absolute epochs, one server at a time.
             rng = streams.get(f"{SERVER_STREAM_PREFIX}{i}")
-            waits, services, _, _ = _simulate_server_scalar(
-                np.ascontiguousarray(epochs), service, rng, 200
-            )
-            per_server.append(waits + services)
+            completion = 0.0
+            sojourns = np.empty(epochs.size)
+            for k, t in enumerate(epochs):
+                wait = max(completion - t, 0.0)
+                s = service.service_time(rng, max(t - completion, 0.0))
+                completion = t + wait + s
+                sojourns[k] = wait + s
+            per_server.append(sojourns)
         expected = np.max(np.stack(per_server), axis=0)[200:]
         assert np.array_equal(result.sojourn_times, expected)
 

@@ -22,6 +22,7 @@ from repro.cluster.tailobs import SLObjective, TailObsConfig
 from repro.common.distributions import Exponential
 from repro.harness import cache
 from repro.queueing.stats import percentile
+from repro.uarch import fastpath
 from repro.workloads.microservices import wordstem
 
 SERVICE = Exponential(2e-6)
@@ -42,12 +43,10 @@ def run_cluster(
     n=4_000,
     warmup=400,
     load=0.7,
-    force_event_loop=False,
 ):
     sim = ClusterSimulator.at_load(
         load, SERVICE, n_servers=n_servers, fanout=fanout,
         balancer=balancer, seed=seed,
-        force_event_loop=force_event_loop,
     )
     return sim.run(n, warmup)
 
@@ -253,17 +252,30 @@ class TestResultTransparency:
             assert np.array_equal(a.service_times, b.service_times)
         assert len(tailobs.snapshot().runs) == 1
 
+    @pytest.mark.skipif(
+        not fastpath.is_available(), reason="no C compiler for the kernel"
+    )
     def test_executors_produce_equal_records(self):
-        """Both executor families reconstruct the *same* telemetry for a
-        state-independent policy (same records, same attribution)."""
+        """With telemetry on, a state-independent policy still runs the
+        compiled event kernel, and it reconstructs the *same* telemetry
+        as the Python oracle (same records, same attribution)."""
         tailobs.enable()
-        run_cluster(balancer="random", seed=3)
-        vec = only_run()
+        fastpath.set_mode("on")
+        try:
+            compiled = run_cluster(balancer="random", seed=3)
+        finally:
+            fastpath.set_mode(None)
+        kernel = only_run()
         tailobs.reset()
         tailobs.enable()
-        run_cluster(balancer="random", seed=3, force_event_loop=True)
-        event = only_run()
-        assert vec == event
+        fastpath.set_mode("off")
+        try:
+            reference = run_cluster(balancer="random", seed=3)
+        finally:
+            fastpath.set_mode(None)
+        assert compiled.fastpath_servers == compiled.n_servers
+        assert reference.fastpath_servers == 0
+        assert kernel == only_run()
 
 
 class TestDegenerateDelegation:
