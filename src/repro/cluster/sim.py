@@ -24,12 +24,13 @@ from the queue lengths at dispatch time.  The loop has one compiled
 implementation, the C kernel ``rfp_cluster_events``: it walks the
 assignment matrix (assign mode) or consumes the dispatch stream live
 through a PCG64 port (JSQ / power-of-two modes), and pre-draws service
-times through the ``batch_base`` ladder with mid-run eject/refill.  The
+times through ``batch_base`` with mid-run eject/refill.  The
 pure-Python loop below is the reference oracle, byte-identical by
 construction and by differential test.  The oracle runs when
 ``fastpath.mode() == "off"`` (``REPRO_FASTPATH=off``), when no kernel
-can be built, and for ineligible runs: a service model that is not
-stream-safe (e.g. multi-draw RSC/McRouter phases), a non-PCG64 dispatch
+can be built, and for ineligible runs: a service model without a
+compiled service program (a ``Sum``, ``Mixture`` or distribution
+subclass, or no NumPy sampler library), a non-PCG64 dispatch
 generator, or tail telemetry on a state-dependent balancer (which needs
 the per-request decisions the kernel does not report).
 

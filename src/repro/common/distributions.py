@@ -297,7 +297,7 @@ class Mixture(Distribution):
 
 
 # ----------------------------------------------------------------------
-# Stream-safety classification (used by the batched M/G/1 fast path)
+# Stream-safety classification (used by the chunked FanOutMax mean)
 # ----------------------------------------------------------------------
 
 #: Distributions whose ``sample_many(rng, n)`` consumes the generator's
@@ -323,12 +323,94 @@ def is_stream_safe(dist: Distribution) -> bool:
     return False
 
 
-def draws_per_sample(dist: Distribution) -> int:
-    """How many rng draws one ``sample`` call consumes (0 or 1 for the
-    stream-safe set; used to decide whether interleaved per-request draws
-    can be hoisted into one bulk fill)."""
-    if type(dist) is Deterministic:
-        return 0
-    if type(dist) is ScaledDistribution:
-        return draws_per_sample(dist.base)
-    return 1
+# ----------------------------------------------------------------------
+# Service programs (sampled in C by the batched M/G/1 and cluster paths)
+# ----------------------------------------------------------------------
+
+#: Term kinds and flags of a service program; keep in sync with
+#: ``rfp_service_program`` in ``repro/uarch/fastpath/kernel.c``.
+_TERM_KIND = {Deterministic: 0, Exponential: 1, Uniform: 2, LogNormal: 3, Pareto: 4}
+_SCALE, _PER_US, _SLOW = 8, 16, 32
+
+
+@dataclass(frozen=True, eq=False)
+class ServiceProgram:
+    """A request's service-time terms, compiled for the C sampler.
+
+    One request is ``init`` plus each term in order; a term is one draw
+    of a distribution (or its constant), times any ``ScaledDistribution``
+    factor, then optionally divided by 1e6 and times a slowdown.  The
+    kernel draws through NumPy's own C samplers on the live generator,
+    so ``sample(rng, n)`` equals ``n`` sequential interpreted requests
+    bit for bit and leaves the generator in the same state.
+    """
+
+    ops: np.ndarray  # int64 (terms,): kind | flags
+    params: np.ndarray  # float64 (terms, 4): p0, p1, factor, slowdown
+    init: float
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray | None:
+        """``n`` base service times, or ``None`` (generator untouched)
+        when the kernel or NumPy's sampler library is unavailable."""
+        from repro.uarch.fastpath.build import service_program_kernel
+
+        kernel = service_program_kernel()
+        if kernel is None:
+            return None
+        out = np.empty(n)
+        kernel(
+            rng.bit_generator.ctypes.bit_generator,
+            n,
+            len(self.ops),
+            self.ops.ctypes.data,
+            self.params.ctypes.data,
+            self.init,
+            out.ctypes.data,
+        )
+        return out
+
+
+def compile_program(
+    terms: list[tuple[Distribution, bool, float | None]], init: float = -0.0
+) -> ServiceProgram | None:
+    """Compile ``(dist, per_us, slowdown)`` terms into a service program.
+
+    Each term replays ``dist.sample(rng)``, then ``seconds_from_us``
+    when ``per_us``, then ``* slowdown`` when one is given, added to an
+    accumulator starting at ``init`` (``-0.0``, the exact additive
+    identity, reproduces a bare ``sample``).  Returns ``None`` unless
+    every ``dist`` is one of the five base types, bare or under one
+    ``ScaledDistribution`` (exact types: a subclass may override
+    ``sample``); sums, mixtures and nested scalings do not compile.
+    """
+    ops = []
+    params = []
+    for dist, per_us, slowdown in terms:
+        op, factor = 0, 1.0
+        if type(dist) is ScaledDistribution:
+            op, factor, dist = _SCALE, dist.factor, dist.base
+        kind = _TERM_KIND.get(type(dist))
+        if kind is None:
+            return None
+        if kind == 0:
+            p0, p1 = dist.value, 0.0
+        elif kind == 1:
+            p0, p1 = dist.mean_value, 0.0
+        elif kind == 2:
+            p0, p1 = dist.low, float(dist.high) - float(dist.low)  # (low, range)
+        elif kind == 3:
+            p0, p1 = dist._params()
+        else:
+            p0, p1 = dist.shape, dist._scale()
+        op |= kind
+        if per_us:
+            op |= _PER_US
+        if slowdown is not None:
+            op |= _SLOW
+        ops.append(op)
+        params.append((p0, p1, factor, 1.0 if slowdown is None else slowdown))
+    return ServiceProgram(
+        ops=np.array(ops, dtype=np.int64),
+        params=np.array(params, dtype=np.float64).reshape(-1, 4),
+        init=float(init),
+    )

@@ -24,10 +24,16 @@ and (c) the area/power models.  This module holds those formulas:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro import prof, validate
+from repro.common.distributions import (
+    Deterministic,
+    ServiceProgram,
+    compile_program,
+)
 from repro.common.units import seconds_from_us
 from repro.core.designs import Design, get_design
 from repro.harness.measure import CoreMeasurement
@@ -39,7 +45,7 @@ from repro.power.mcpat import (
     llc_area_mm2,
     llc_static_w,
 )
-from repro.queueing.mg1 import MG1Simulator, ServiceModel
+from repro.queueing.mg1 import MG1Simulator, ServiceModel, sample_program
 from repro.workloads.filler import (
     FILLER_COMPUTE_US,
     FILLER_INSTRUCTIONS_PER_US,
@@ -248,74 +254,35 @@ class DesignServiceModel(ServiceModel):
             total += self.start_penalty_s
         return total
 
+    @property
+    def idle_penalty(self) -> float:
+        """The restart a request pays when it arrives at an idle core."""
+        return self.start_penalty_s
+
+    @cached_property
+    def program(self) -> ServiceProgram | None:
+        """``service_time``'s terms in its order and float ops: each
+        compute draw in seconds times the slowdown, then each stall draw
+        in seconds and the per-stall penalty."""
+        terms = []
+        for phase in self.workload.phases:
+            terms.append((phase.compute_us, True, self.slowdown))
+            if phase.stall_us is not None:
+                terms.append((phase.stall_us, True, None))
+                terms.append((Deterministic(self.per_stall_penalty_s), False, None))
+        return compile_program(terms, init=0.0)
+
     def batch_base(
         self, rng: np.random.Generator, n: int
     ) -> tuple[np.ndarray, float, bool] | None:
-        """Pre-draw ``n`` base (idle-independent) service times, consuming
-        ``rng`` exactly as ``n`` sequential ``service_time`` calls would.
-
-        Eligible when at most one phase term consumes the generator per
-        request (the rest are ``Deterministic``): the per-request stream
-        then collapses to ``n`` consecutive draws of that one stream-safe
-        distribution, which a single bulk fill reproduces bit-for-bit.
-        The accumulation replays the scalar loop's additions in order —
-        constant terms fold into a scalar prefix, the random term joins
-        elementwise, later constants add elementwise — so every float op
-        matches the reference.  Multi-draw workloads (e.g. McRouter's
-        compute + stall pair) return ``None`` untouched and stay scalar.
-        """
-        from repro.common.distributions import (
-            Deterministic,
-            draws_per_sample,
-            is_stream_safe,
-        )
-
-        terms: list[tuple[str, object]] = []
-        consuming = 0
-        for phase in self.workload.phases:
-            compute = phase.compute_us
-            if draws_per_sample(compute) == 0:
-                terms.append(
-                    ("const", seconds_from_us(compute.sample(rng)) * self.slowdown)
-                )
-            elif is_stream_safe(compute):
-                consuming += 1
-                terms.append(("compute", compute))
-            else:
-                return None
-            if phase.stall_us is not None:
-                stall = phase.stall_us
-                if draws_per_sample(stall) == 0:
-                    terms.append(("const", seconds_from_us(stall.sample(rng))))
-                elif is_stream_safe(stall):
-                    consuming += 1
-                    terms.append(("stall", stall))
-                else:
-                    return None
-                terms.append(("const", self.per_stall_penalty_s))
-        if consuming > 1:
-            return None
-
-        acc = 0.0
-        arr: np.ndarray | None = None
-        for kind, payload in terms:
-            if kind == "const":
-                if arr is None:
-                    acc = acc + payload
-                else:
-                    arr = arr + payload
-            else:
-                xs = payload.sample_many(rng, n)
-                if kind == "compute":
-                    term = seconds_from_us(xs) * self.slowdown
-                else:
-                    term = seconds_from_us(xs)
-                arr = acc + term
-        if arr is None:
-            arr = np.full(n, acc)
+        """Pre-draw ``n`` base (idle-independent) service times through
+        the compiled :attr:`program`, consuming ``rng`` exactly as ``n``
+        sequential ``service_time`` calls would, for any number of draws
+        per request; see :meth:`DistributionService.batch_base`."""
+        base = sample_program(self.program, rng, n)
         # idle_before > 0 always adds start_penalty_s in the scalar path
         # (even when it is 0.0), so has_penalty is unconditionally True.
-        return np.ascontiguousarray(arr, dtype=np.float64), self.start_penalty_s, True
+        return None if base is None else (base, self.start_penalty_s, True)
 
     def mean_service_time(self) -> float:
         mean = 0.0

@@ -22,12 +22,17 @@ microcode register reload) enter the queueing layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
 
 from repro import energy, obs, prof
-from repro.common.distributions import Distribution
+from repro.common.distributions import (
+    Distribution,
+    ServiceProgram,
+    compile_program,
+)
 
 
 class ServiceModel(Protocol):
@@ -49,11 +54,18 @@ class DistributionService:
 
     dist: Distribution
 
+    #: Restart penalty charged after an idle period (none here).
+    idle_penalty = 0.0
+
     def service_time(self, rng: np.random.Generator, idle_before: float) -> float:
         return self.dist.sample(rng)
 
     def mean_service_time(self) -> float:
         return self.dist.mean()
+
+    @cached_property
+    def program(self) -> ServiceProgram | None:
+        return compile_program([(self.dist, False, None)])
 
     def batch_base(
         self, rng: np.random.Generator, n: int
@@ -64,13 +76,11 @@ class DistributionService:
         ``rng`` exactly as ``n`` sequential ``service_time`` calls would
         and return ``(base, idle_penalty, has_penalty)``; on ineligibility
         return ``None`` *without touching the generator* so the scalar
-        reference loop sees an untouched stream.
+        reference loop sees an untouched stream.  Every implementation
+        samples its compiled :class:`ServiceProgram`.
         """
-        from repro.common.distributions import is_stream_safe
-
-        if not is_stream_safe(self.dist):
-            return None
-        return np.asarray(self.dist.sample_many(rng, n), dtype=np.float64), 0.0, False
+        base = sample_program(self.program, rng, n)
+        return None if base is None else (base, 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -94,18 +104,22 @@ class RestartPenaltyService:
         base = self.dist.sample(rng)
         return base + self.penalty if idle_before > 0 else base
 
+    @property
+    def idle_penalty(self) -> float:
+        return self.penalty
+
+    @cached_property
+    def program(self) -> ServiceProgram | None:
+        return compile_program([(self.dist, False, None)])
+
     def batch_base(
         self, rng: np.random.Generator, n: int
     ) -> tuple[np.ndarray, float, bool] | None:
         """See :meth:`DistributionService.batch_base`; the idle penalty is
         applied inside the Lindley recurrence exactly where the scalar
         path applies it (``base + penalty`` when ``idle_before > 0``)."""
-        from repro.common.distributions import is_stream_safe
-
-        if not is_stream_safe(self.dist):
-            return None
-        base = np.asarray(self.dist.sample_many(rng, n), dtype=np.float64)
-        return base, self.penalty, True
+        base = sample_program(self.program, rng, n)
+        return None if base is None else (base, self.penalty, True)
 
     def mean_service_time(self) -> float:
         # The penalty applies to the (load-dependent) fraction of requests
@@ -113,6 +127,14 @@ class RestartPenaltyService:
         # mean, which keeps offered-load definitions consistent across
         # designs.  The penalty then manifests as extra utilization/tail.
         return self.dist.mean()
+
+
+def sample_program(
+    program: ServiceProgram | None, rng: np.random.Generator, n: int
+) -> np.ndarray | None:
+    """``program.sample(rng, n)``, or ``None`` for a model that does not
+    compile (the generator is then untouched)."""
+    return None if program is None else program.sample(rng, n)
 
 
 @dataclass(frozen=True)
@@ -219,10 +241,11 @@ class MG1Simulator:
         inter_arrivals = rng.exponential(1.0 / self.arrival_rate, size=num_requests)
 
         # Batched fast path: when the service model's draws are
-        # queue-state independent and stream-safe, pre-draw them in bulk
-        # (identical bitstream) and run the Lindley recurrence in the
-        # compiled kernel.  Falls through to the scalar reference loop on
-        # any ineligibility; both paths produce bit-identical results.
+        # queue-state independent and compile to a service program,
+        # pre-draw them in C (identical bitstream) and run the Lindley
+        # recurrence in the compiled kernel.  Falls through to the scalar
+        # reference loop on any ineligibility; both paths produce
+        # bit-identical results.
         result = self._run_batched(rng, inter_arrivals, num_requests, warmup)
         if result is not None:
             return result
@@ -276,7 +299,7 @@ class MG1Simulator:
         obs.add("mg1.runs")
         obs.add("mg1.requests_completed", num_requests - warmup)
         if penalized is not None:
-            penalty = float(getattr(self.service, "penalty", 0.0) or 0.0)
+            penalty = self._idle_penalty()
             prof.record_mg1_run(
                 rate=self.arrival_rate,
                 waits=waits[warmup:],
@@ -303,6 +326,11 @@ class MG1Simulator:
             arrival_rate=self.arrival_rate,
         )
 
+    def _idle_penalty(self) -> float:
+        """The restart penalty the service model charges a request that
+        arrives at an idle server (for profiler/energy attribution)."""
+        return float(getattr(self.service, "idle_penalty", 0.0) or 0.0)
+
     def _run_batched(
         self,
         rng: np.random.Generator,
@@ -310,7 +338,7 @@ class MG1Simulator:
         num_requests: int,
         warmup: int,
     ) -> QueueResult | None:
-        """The vectorized ``_run``: bulk service draws + compiled Lindley.
+        """The vectorized ``_run``: compiled service draws + Lindley.
 
         Returns ``None`` (with ``rng`` untouched) whenever the fastpath
         is off, the kernel is unavailable, or the service model cannot
@@ -365,7 +393,7 @@ class MG1Simulator:
         obs.add("mg1.runs")
         obs.add("mg1.requests_completed", num_requests - warmup)
         if penalized is not None:
-            prof_penalty = float(getattr(self.service, "penalty", 0.0) or 0.0)
+            prof_penalty = self._idle_penalty()
             prof.record_mg1_run(
                 rate=self.arrival_rate,
                 waits=waits[warmup:],

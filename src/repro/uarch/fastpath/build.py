@@ -7,6 +7,14 @@ hash of the source, so recompilation happens only when the kernel
 changes.  Everything degrades gracefully: any failure (no compiler, no
 writable cache dir, a broken toolchain) makes :func:`load_kernel` return
 ``None`` and the engines stay on the pure-Python reference path.
+
+The service program (``rfp_service_program``) draws on NumPy's own C
+sampler library, ``libnpyrandom.a``, located through NumPy itself.  When
+its headers or library are missing (or will not link), the kernel is
+built without that one entry point: every other kernel still loads, and
+:func:`service_program_kernel` returns ``None``, so service times are
+drawn by the interpreted reference loop.  The cache key covers the
+NumPy version and the library path as well as the source.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
+import sysconfig
 import tempfile
 import threading
 from pathlib import Path
@@ -118,6 +128,57 @@ _SIGNATURES = {
 }
 
 
+#: Entry points present only when the kernel links NumPy's sampler library.
+_OPTIONAL_SIGNATURES = {
+    "rfp_service_program": (
+        None,
+        [_PTR, _I64, _I64, _PTR, _PTR, ctypes.c_double, _PTR],
+    ),
+}
+
+#: Compiler flags of every build.  No FMA contraction, so float
+#: expressions round exactly as their interpreted counterparts do.
+_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+
+
+def _npyrandom_paths() -> tuple[Path, Path, Path]:
+    """NumPy's include directory, Python's include directory, and
+    ``libnpyrandom.a`` — located through the installed packages, so both
+    the NumPy 1.x (``core``) and 2.x (``_core``) layouts resolve."""
+    import numpy
+    import numpy.random
+
+    return (
+        Path(numpy.get_include()),
+        Path(sysconfig.get_path("include")),
+        Path(numpy.random.__file__).parent / "lib" / "libnpyrandom.a",
+    )
+
+
+def _npyrandom_flags() -> list[str]:
+    """Compile/link arguments for NumPy's sampler library, or ``[]`` when
+    its headers or library are missing."""
+    np_include, py_include, library = _npyrandom_paths()
+    if not (
+        (np_include / "numpy" / "random" / "distributions.h").is_file()
+        and (py_include / "Python.h").is_file()
+        and library.is_file()
+    ):
+        return []
+    flags = [
+        "-DRFP_HAVE_NPYRANDOM",
+        f"-I{np_include}",
+        f"-I{py_include}",
+        str(library),
+        "-lm",
+    ]
+    if sys.platform.startswith("linux"):
+        # Keep the library's symbols local: exported, every call into and
+        # within it would go through the PLT (~8% slower sampling).
+        flags.append("-Wl,--exclude-libs,ALL")
+    return flags
+
+
 def _compiler() -> str | None:
     cc = os.environ.get("CC")
     if cc and shutil.which(cc):
@@ -136,7 +197,7 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-fastpath-{uid}"
 
 
-def _compile(source: Path, out: Path) -> bool:
+def _compile(source: Path, out: Path, extra: list[str]) -> bool:
     cc = _compiler()
     if cc is None:
         return False
@@ -145,7 +206,7 @@ def _compile(source: Path, out: Path) -> bool:
     # pool workers racing on a cold cache never load a half-written .so.
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
     os.close(fd)
-    cmd = [cc, "-O2", "-fPIC", "-shared", "-o", tmp, str(source)]
+    cmd = [cc, *_CFLAGS, "-o", tmp, str(source), *extra]
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120, check=False
@@ -169,10 +230,20 @@ def _load() -> ctypes.CDLL | None:
         source = _KERNEL_SRC.read_bytes()
     except OSError:
         return None
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    import numpy
+
+    extra = _npyrandom_flags()
+    build = "\0".join([numpy.__version__, *_CFLAGS, *extra]).encode()
+    digest = hashlib.sha256(source + b"\0" + build).hexdigest()[:16]
     so_path = _cache_dir() / f"kernel-{digest}.so"
     try:
-        if not so_path.exists() and not _compile(_KERNEL_SRC, so_path):
+        if (
+            not so_path.exists()
+            and not _compile(_KERNEL_SRC, so_path, extra)
+            # A sampler library that will not link costs only the
+            # service program, not the whole kernel.
+            and not (extra and _compile(_KERNEL_SRC, so_path, []))
+        ):
             return None
         lib = ctypes.CDLL(str(so_path))
     except OSError:
@@ -186,6 +257,11 @@ def _load() -> ctypes.CDLL | None:
         # Stale .so missing an entry point (should be impossible with the
         # source-hash key, but never let it poison the reference path).
         return None
+    for name, (restype, argtypes) in _OPTIONAL_SIGNATURES.items():
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype = restype
+            fn.argtypes = argtypes
     return lib
 
 
@@ -201,6 +277,13 @@ def load_kernel() -> ctypes.CDLL | None:
             if _kernel is _UNSET:
                 _kernel = _load()
     return _kernel  # type: ignore[return-value]
+
+
+def service_program_kernel():
+    """The kernel's ``rfp_service_program``, or ``None`` when the kernel
+    or NumPy's sampler library is unavailable."""
+    lib = load_kernel()
+    return getattr(lib, "rfp_service_program", None) if lib is not None else None
 
 
 def reset_for_tests() -> None:

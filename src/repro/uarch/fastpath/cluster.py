@@ -11,8 +11,10 @@ two stream families cross the boundary differently:
   ``Generator.bit_generator.state`` words are handed in on entry and
   written back on exit, so the dispatch stream advances exactly as the
   interpreted loop would have advanced it.
-* **Server streams** — base service times go through the ``batch_base``
-  pre-draw ladder.  Under JSQ / power-of-two, which server serves the
+* **Server streams** — base service times come from ``batch_base``,
+  which samples the model's compiled service program in C with NumPy's
+  own samplers, for any number of draws per request (RSC, McRouter).
+  Under JSQ / power-of-two, which server serves the
   next leaf is not known in advance, so each server gets a chunked
   pre-drawn buffer; when any server runs dry (or an output buffer
   fills) the kernel *ejects* back to Python, the driver refills/grows,
@@ -24,9 +26,10 @@ two stream families cross the boundary differently:
   discarded afterwards.
 
 Ineligible configurations (non-PCG64 dispatch generators, service
-models without a stream-safe ``batch_base``, unknown balancer
-subclasses) return ``None`` with every stream untouched, leaving the
-caller on the Python reference loop.
+models whose ``batch_base`` returns ``None`` — a ``Sum``, ``Mixture`` or
+distribution subclass, or no NumPy sampler library — and unknown
+balancer subclasses) return ``None`` with every stream untouched,
+leaving the caller on the Python reference loop.
 """
 
 from __future__ import annotations

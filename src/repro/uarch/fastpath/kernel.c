@@ -15,6 +15,12 @@
  * (see DESIGN.md "repro.uarch.fastpath").
  */
 
+#ifdef RFP_HAVE_NPYRANDOM
+/* NumPy's own sampler library (libnpyrandom.a) behind the service
+ * program; the header pulls in Python.h, which must come first. */
+#include "numpy/random/distributions.h"
+#endif
+
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -2388,3 +2394,52 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
     ctl[1] = heap_size;
     return rc;
 }
+
+#ifdef RFP_HAVE_NPYRANDOM
+/* -- service program (common/distributions.py ServiceProgram) -----------
+ * Draws `n` base service times on a live NumPy bit generator, replaying
+ * one request's `service_time` per output: for each term, draw (or read
+ * the constant), then multiply by the ScaledDistribution factor, divide
+ * by 1e6 (microseconds -> seconds), multiply by the slowdown, and add to
+ * the accumulator that starts at `init`.  The draws are NumPy's own
+ * `random_*` functions on the generator's `bitgen_t`, so values and the
+ * generator's end state equal `n` sequential interpreted calls.
+ *
+ * ops[t]: kind (low 3 bits) | SVC_SCALE | SVC_PER_US | SVC_SLOW.
+ * par[4t..4t+3]: p0, p1, factor, slowdown.  Kinds: constant p0,
+ * exponential(scale p0), uniform(low p0, range p1), lognormal(mu p0,
+ * sigma p1), p1 * pareto(shape p0). */
+
+#define SVC_CONST 0
+#define SVC_EXPONENTIAL 1
+#define SVC_UNIFORM 2
+#define SVC_LOGNORMAL 3
+#define SVC_PARETO 4
+#define SVC_SCALE 8
+#define SVC_PER_US 16
+#define SVC_SLOW 32
+
+void rfp_service_program(bitgen_t *bg, i64 n, i64 nterms, const i64 *ops,
+                         const double *par, double init, double *out) {
+    for (i64 k = 0; k < n; k++) {
+        double acc = init;
+        for (i64 t = 0; t < nterms; t++) {
+            const double *p = par + 4 * t;
+            i64 op = ops[t];
+            double v;
+            switch (op & 7) {
+            case SVC_EXPONENTIAL: v = random_exponential(bg, p[0]); break;
+            case SVC_UNIFORM: v = random_uniform(bg, p[0], p[1]); break;
+            case SVC_LOGNORMAL: v = random_lognormal(bg, p[0], p[1]); break;
+            case SVC_PARETO: v = p[1] * random_pareto(bg, p[0]); break;
+            default: v = p[0]; break;
+            }
+            if (op & SVC_SCALE) v = v * p[2];
+            if (op & SVC_PER_US) v = v / 1e6;
+            if (op & SVC_SLOW) v = v * p[3];
+            acc = acc + v;
+        }
+        out[k] = acc;
+    }
+}
+#endif

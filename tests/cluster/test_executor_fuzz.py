@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from repro.cluster.arrivals import MMPPArrivals, PoissonArrivals
 from repro.cluster.sim import ClusterSimulator
 from repro.common.distributions import Exponential, LogNormal
-from repro.queueing.mg1 import RestartPenaltyService
+from repro.harness.metrics import DesignServiceModel
+from repro.queueing.mg1 import DistributionService, RestartPenaltyService
 from repro.uarch import fastpath
 from repro.uarch.fastpath import cluster as fp_cluster
+from repro.workloads import microservices as ms
 
 pytestmark = pytest.mark.skipif(
     not fastpath.is_available(), reason="no C compiler / kernel unavailable"
@@ -23,9 +25,12 @@ pytestmark = pytest.mark.skipif(
 
 BALANCERS = ("random", "round_robin", "jsq", "power_of_two")
 SERVICES = (
-    Exponential(100e-6),
-    LogNormal(100e-6, 1.2),
+    DistributionService(Exponential(100e-6)),
+    DistributionService(LogNormal(100e-6, 1.2)),
     RestartPenaltyService(Exponential(100e-6), 5e-6),
+    # Multi-draw models: RSC's three phases, McRouter's compute + stall.
+    DesignServiceModel(ms.rsc(), 1.3, 2.5e-7, 5e-7),
+    DesignServiceModel(ms.mcrouter(), 1.1, 2.5e-7, 5e-7),
 )
 
 
@@ -51,7 +56,8 @@ def clusters(draw):
     n_servers = draw(st.integers(1, 8))
     fanout = draw(st.integers(1, n_servers))
     load = draw(st.sampled_from((0.3, 0.7, 0.95)))
-    rate = load * n_servers / (fanout * 100e-6)
+    service = draw(st.sampled_from(SERVICES))
+    rate = load * n_servers / (fanout * service.mean_service_time())
     arrivals = (
         MMPPArrivals.bursty(rate)
         if draw(st.booleans())
@@ -59,7 +65,7 @@ def clusters(draw):
     )
     return ClusterSimulator(
         arrivals,
-        draw(st.sampled_from(SERVICES)),
+        service,
         n_servers=n_servers,
         fanout=fanout,
         balancer=draw(st.sampled_from(BALANCERS)),

@@ -1,8 +1,9 @@
 """Batched M/G/1 fast path vs the scalar reference loop.
 
-The batched ``_run`` pre-draws service times in bulk (on the exact same
-generator stream the scalar loop would consume) and runs the Lindley
-recurrence in the compiled kernel.  Its contract is bit identity: every
+The batched ``_run`` pre-draws service times through the compiled
+service program (NumPy's own C samplers on the exact same generator
+stream the scalar loop would consume) and runs the Lindley recurrence in
+the compiled kernel.  Its contract is bit identity: every
 ``QueueResult`` field — wait/service arrays, idle periods, busy time,
 window duration — must equal the scalar loop's, for every eligible
 service model, and ineligible models must fall back without perturbing
@@ -13,8 +14,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import prof
+from repro import energy, prof
 from repro.common.distributions import (
     Deterministic,
     Exponential,
@@ -24,7 +27,6 @@ from repro.common.distributions import (
     ScaledDistribution,
     SumDistribution,
     Uniform,
-    draws_per_sample,
     is_stream_safe,
 )
 from repro.harness.metrics import DesignServiceModel
@@ -103,31 +105,43 @@ def test_restart_penalty_identical(penalty, seed):
     assert ref.idle_periods.size > 0
 
 
-@pytest.mark.parametrize(
-    "workload,eligible",
-    [
-        ("wordstem", True),  # single LogNormal phase, no stall draw
-        ("flann_ha", False),  # compute + stall draws interleave per request
-        ("rsc", False),
-        ("mcrouter", False),
-    ],
-)
-def test_design_service_model(workload, eligible):
+def same_state(a, b):
+    """Generator states equal, including the array-valued words of
+    Philox and MT19937."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def assert_batch_matches_scalar(service, rng_factory, n):
+    """batch_base(rng, n) equals n sequential service_time calls bit for
+    bit and leaves the generator in the same state."""
+    r1, r2 = rng_factory(), rng_factory()
+    decomposed = service.batch_base(r1, n)
+    assert decomposed is not None
+    base = decomposed[0]
+    seq = np.array([service.service_time(r2, 0.0) for _ in range(n)])
+    if decomposed[2]:
+        # service_time(rng, 0.0) never adds the idle penalty.
+        assert decomposed[1] == service.idle_penalty
+    assert base.dtype == np.float64 and base.shape == (n,)
+    assert base.tobytes() == seq.astype(np.float64).tobytes()
+    assert same_state(r1.bit_generator.state, r2.bit_generator.state)
+
+
+@pytest.mark.parametrize("workload", ["wordstem", "flann_ha", "rsc", "mcrouter"])
+def test_design_service_model(workload):
+    """Every paper workload compiles, including the multi-draw ones
+    (compute + stall per phase, RSC's three phases)."""
     service = DesignServiceModel(
         getattr(ms, workload)(),
         slowdown=1.3,
         per_stall_penalty_s=1e-8,
         start_penalty_s=3e-8,
     )
-    rng = np.random.default_rng(0)
-    state_before = rng.bit_generator.state
-    decomposed = service.batch_base(rng, 16)
-    if eligible:
-        assert decomposed is not None
-    else:
-        # Ineligible: returns None with the generator untouched.
-        assert decomposed is None
-        assert rng.bit_generator.state == state_before
+    assert_batch_matches_scalar(service, lambda: np.random.default_rng(0), 4_096)
     ref, fast = run_both(
         lambda: MG1Simulator.at_load(0.7, service, seed=11), 20_000, 2_000
     )
@@ -135,10 +149,8 @@ def test_design_service_model(workload, eligible):
 
 
 def test_design_multiphase_with_deterministic_terms():
-    """Constant phases (Deterministic compute/stall) consume no draws, so
-    a multi-phase workload with exactly one random term stays eligible;
-    the constant terms fold into the base in the scalar loop's addition
-    order."""
+    """Constant phases (Deterministic compute/stall) consume no draws and
+    join the base in the scalar loop's addition order."""
     workload = ms.Microservice(
         name="synthetic",
         phases=(
@@ -203,11 +215,153 @@ def test_stream_unsafe_compositions_excluded():
         assert_identical(ref, fast)
 
 
-def test_draws_per_sample():
-    assert draws_per_sample(Deterministic(1e-6)) == 0
-    assert draws_per_sample(ScaledDistribution(Deterministic(1e-6), 2.0)) == 0
-    assert draws_per_sample(Exponential(1e-6)) == 1
-    assert draws_per_sample(ScaledDistribution(LogNormal(1e-6, 1.0), 2.0)) == 1
+class _SubclassedExponential(Exponential):
+    """A subclass may override ``sample``; it must never compile."""
+
+
+_UNCOMPILABLE = {
+    "sum": SumDistribution((Exponential(1.0), Uniform(1.0, 2.0))),
+    "mixture": Mixture((Exponential(1.0), Exponential(3.0)), (0.5, 0.5)),
+    "subclass": _SubclassedExponential(2.0),
+    "nested-scaling": ScaledDistribution(
+        ScaledDistribution(Exponential(1.0), 2.0), 3.0
+    ),
+}
+
+
+def _uncompilable_services(dist):
+    yield DistributionService(dist)
+    yield RestartPenaltyService(dist, 5e-7)
+    for phase in (
+        ms.Phase(dist, Exponential(1.0)),
+        ms.Phase(LogNormal(2.0, 0.3), dist),
+    ):
+        yield DesignServiceModel(
+            ms.Microservice("x", ms.wordstem().profile, (phase,)), 1.2, 1e-8, 3e-8
+        )
+
+
+@pytest.mark.parametrize("name", sorted(_UNCOMPILABLE))
+def test_uncompilable_models_leave_the_stream_untouched(name):
+    """Sums, mixtures, subclasses and nested scalings anywhere in a model
+    make batch_base return None without consuming a single draw, and the
+    simulation still agrees (both legs scalar)."""
+    for service in _uncompilable_services(_UNCOMPILABLE[name]):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        assert service.batch_base(rng, 64) is None
+        assert rng.bit_generator.state == before
+        ref, fast = run_both(
+            lambda: MG1Simulator.at_load(0.5, service, seed=2), 3_000, 300
+        )
+        assert_identical(ref, fast)
+
+
+# -- service-program differential ------------------------------------------
+
+_BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.Philox,
+    np.random.SFC64,
+    np.random.MT19937,
+)
+_pos = st.floats(0.05, 50.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _base_dists(draw):
+    kind = draw(st.sampled_from(("det", "exp", "uni", "logn", "pareto")))
+    if kind == "det":
+        return Deterministic(draw(st.one_of(st.just(0.0), _pos)))
+    if kind == "exp":
+        return Exponential(draw(_pos))
+    if kind == "uni":
+        low, high = sorted((draw(_pos), draw(_pos)))
+        return Uniform(low, high)
+    if kind == "logn":
+        return LogNormal(draw(_pos), draw(st.floats(0.01, 4.0)))
+    return Pareto(draw(_pos), draw(st.floats(1.05, 5.0)))
+
+
+@st.composite
+def _terms(draw):
+    dist = draw(_base_dists())
+    if draw(st.booleans()):
+        return ScaledDistribution(dist, draw(st.floats(0.1, 10.0)))
+    return dist
+
+
+@st.composite
+def _services(draw):
+    shape = draw(st.sampled_from(("distribution", "restart", "design")))
+    if shape == "distribution":
+        return DistributionService(draw(_terms()))
+    if shape == "restart":
+        return RestartPenaltyService(draw(_terms()), draw(st.floats(0.0, 1e-6)))
+    phases = draw(
+        st.lists(
+            st.builds(ms.Phase, _terms(), st.one_of(st.none(), _terms())),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return DesignServiceModel(
+        ms.Microservice("synthetic", ms.wordstem().profile, tuple(phases)),
+        slowdown=draw(st.floats(1.0, 4.0)),
+        per_stall_penalty_s=draw(st.sampled_from((0.0, 2.5e-8, 1e-7))),
+        start_penalty_s=draw(st.sampled_from((0.0, 5e-8))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    service=_services(),
+    n=st.one_of(st.integers(0, 3), st.integers(4, 300)),
+    bit_generator=st.sampled_from(_BIT_GENERATORS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_service_program_matches_sequential_service_time(
+    service, n, bit_generator, seed
+):
+    """rfp_service_program against n sequential service_time calls:
+    bit-equal values and equal bit_generator.state, over random phase
+    lists of every base distribution (bare or scaled, with and without
+    stalls), slowdowns, penalties and all four NumPy bit generators."""
+    assert_batch_matches_scalar(
+        service, lambda: np.random.Generator(bit_generator(seed)), n
+    )
+
+
+# -- restart-penalty attribution -------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["off", "on"])
+def test_design_model_restart_penalty_is_attributed(mode):
+    """A morphing design's idle restart (``start_penalty_s``) reaches the
+    profiler waterfall and the energy plane's penalty carve-out on both
+    the scalar and the compiled path."""
+    service = DesignServiceModel(ms.rsc(), 1.1, 2.5e-8, 5e-8)
+    fastpath.set_mode(mode)
+    prof.reset()
+    energy.reset()
+    prof.enable()
+    energy.enable()
+    try:
+        with prof.context(design="duplexity", workload="rsc"):
+            result = MG1Simulator.at_load(0.3, service, seed=7).run(20_000, 2_000)
+        (waterfall,) = prof.snapshot().waterfalls
+        (joules,) = energy.snapshot().waterfalls
+    finally:
+        prof.disable()
+        energy.disable()
+        prof.reset()
+        energy.reset()
+    # At rho 0.3 most retained requests find the core idle and pay it.
+    assert waterfall.penalty_s == 5e-8
+    assert waterfall.penalized_requests > result.num_requests // 2
+    assert joules.penalty_s == pytest.approx(
+        5e-8 * waterfall.penalized_requests, rel=1e-12
+    )
 
 
 @pytest.mark.parametrize(
