@@ -22,16 +22,17 @@ Execution: one global-order event loop serves every balancer.
 assignment matrix; *state-dependent* ones (JSQ, power-of-two) select
 from the queue lengths at dispatch time.  The loop has one compiled
 implementation, the C kernel ``rfp_cluster_events``: it walks the
-assignment matrix (assign mode) or consumes the dispatch stream live
-through a PCG64 port (JSQ / power-of-two modes), and pre-draws service
-times through ``batch_base`` with mid-run eject/refill.  The
-pure-Python loop below is the reference oracle, byte-identical by
-construction and by differential test.  The oracle runs when
-``fastpath.mode() == "off"`` (``REPRO_FASTPATH=off``), when no kernel
-can be built, and for ineligible runs: a service model without a
-compiled service program (a ``Sum``, ``Mixture`` or distribution
-subclass, or no NumPy sampler library), a non-PCG64 dispatch
-generator, or tail telemetry on a state-dependent balancer (which needs
+assignment matrix (assign mode) or draws the dispatch stream live (JSQ
+/ power-of-two modes), and draws each leaf's service time live on its
+server stream through the model's compiled service program, all on
+NumPy's own ``bitgen_t``, so any bit generator binds and every stream
+ends where the interpreted loop leaves it.  The pure-Python loop below
+is the reference oracle, byte-identical by construction and by
+differential test.  The oracle runs when ``fastpath.mode() == "off"``
+(``REPRO_FASTPATH=off``), when no kernel can be built, and for
+ineligible runs: a service model without a compiled service program (a
+``Sum``, ``Mixture`` or distribution subclass, or no NumPy sampler
+library), or tail telemetry on a state-dependent balancer (which needs
 the per-request decisions the kernel does not report).
 
 Window semantics carry over from the M/G/1 path: the measurement window

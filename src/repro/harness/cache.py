@@ -9,9 +9,10 @@ matrix from scratch.  This module adds a disk layer underneath them:
 * **Content-addressed keys.**  A cache key is the SHA-256 of a canonical
   token built from every parameter that determines the result — the full
   design and workload dataclasses (not just their names), every fidelity
-  knob, the root seed, and a schema-version salt.  Changing any knob (or
-  bumping :data:`SCHEMA_VERSION` after a simulator change) yields a
-  different key, so stale entries can never be served.
+  knob, the root seed, a schema-version salt and a digest of the
+  simulator sources (:func:`source_digest`).  Changing any knob or any
+  source file (or bumping :data:`SCHEMA_VERSION`) yields a different
+  key, so stale entries can never be served.
 * **Atomic writes.**  Entries are written to a temporary file in the
   destination directory and published with :func:`os.replace`, so readers
   — including concurrent worker processes — never observe a partially
@@ -40,6 +41,7 @@ parent's configuration explicitly so both layers agree.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import pickle
@@ -60,6 +62,9 @@ from repro import obs
 SCHEMA_VERSION = 2
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: The simulator sources whose content salts every key.
+_SOURCE_ROOT = Path(__file__).resolve().parent.parent
 
 _PICKLE_PROTOCOL = 4
 
@@ -102,6 +107,23 @@ def canonical_token(obj: Any) -> str:
         digest = hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()
         return f"ndarray({obj.dtype},{obj.shape},{digest})"
     return repr(obj)
+
+
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over every ``*.py`` and ``*.c`` file of the ``repro``
+    package, in sorted path order (computed once per process): a
+    result-changing edit that forgets to bump :data:`SCHEMA_VERSION`
+    still gets fresh keys."""
+    h = hashlib.sha256()
+    files = {
+        path.relative_to(_SOURCE_ROOT).as_posix(): path
+        for pattern in ("*.py", "*.c")
+        for path in _SOURCE_ROOT.rglob(pattern)
+    }
+    for name in sorted(files):
+        h.update(name.encode() + b"\0" + files[name].read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +235,15 @@ class DiskCache:
     # -- keys -----------------------------------------------------------
 
     def key(self, kind: str, **parts: Any) -> str:
-        """Content-addressed key: SHA-256 over kind, schema, and parts."""
+        """Content-addressed key: SHA-256 over kind, schema, the source
+        digest, and parts."""
         token = canonical_token(
-            {"kind": kind, "schema": self.schema_version, **parts}
+            {
+                "kind": kind,
+                "schema": self.schema_version,
+                "source": source_digest(),
+                **parts,
+            }
         )
         return hashlib.sha256(token.encode()).hexdigest()
 
@@ -451,5 +479,6 @@ __all__ = [
     "default_root",
     "get_cache",
     "reset",
+    "source_digest",
     "stats_snapshot",
 ]

@@ -3,18 +3,21 @@
 The kernel ships as C source (``kernel.c``) and is compiled on first use
 with whatever C compiler the host provides (``$CC``, ``cc``, ``gcc`` or
 ``clang``).  Build products are cached in a per-user directory keyed by a
-hash of the source, so recompilation happens only when the kernel
-changes.  Everything degrades gracefully: any failure (no compiler, no
-writable cache dir, a broken toolchain) makes :func:`load_kernel` return
-``None`` and the engines stay on the pure-Python reference path.
+hash of the source and the build (see below), so recompilation happens
+only when the kernel or the toolchain changes.  Everything degrades
+gracefully: any failure (no compiler, no writable cache dir, a broken
+toolchain) makes :func:`load_kernel` return ``None`` and the engines
+stay on the pure-Python reference path.
 
-The service program (``rfp_service_program``) draws on NumPy's own C
-sampler library, ``libnpyrandom.a``, located through NumPy itself.  When
-its headers or library are missing (or will not link), the kernel is
-built without that one entry point: every other kernel still loads, and
+The service program (``rfp_service_program``) and the cluster event
+loop (``rfp_cluster_events``) draw on NumPy's own C sampler library,
+``libnpyrandom.a``, located through NumPy itself.  When its headers or
+library are missing (or will not link), the kernel is built without
+those two entry points: every other kernel still loads, and
 :func:`service_program_kernel` returns ``None``, so service times are
-drawn by the interpreted reference loop.  The cache key covers the
-NumPy version and the library path as well as the source.
+drawn and cluster runs simulated by the interpreted reference loops.
+The cache key covers the resolved compiler path, the NumPy version and
+the library path as well as the source.
 """
 
 from __future__ import annotations
@@ -107,24 +110,6 @@ _SIGNATURES = {
         _I64,
         [_PTR] * 16 + [_PTR] * 9,
     ),
-    "rfp_pcg64_raw": (None, [_PTR, _I64, _PTR]),
-    "rfp_pcg64_doubles": (None, [_PTR, _I64, _PTR]),
-    "rfp_pcg64_bounded": (None, [_PTR, _I64, _PTR, _PTR]),
-    "rfp_pcg64_choice2": (None, [_PTR, _I64, _PTR]),
-    "rfp_cluster_events": (
-        _I64,
-        [
-            _PTR, _I64, _I64, _I64, _I64,  # epochs, n, warmup, fanout, n_servers
-            _I64, _PTR, _PTR,              # mode, assign, pcg state words
-            _I64, ctypes.c_double,         # has_penalty, penalty
-            _PTR, _PTR, _I64,              # svc, svc_filled, cap
-            _PTR, _PTR, _PTR,              # waits, services, idles
-            _PTR, _PTR, _PTR,              # out_cnt, idle_cnt, warmup_cnt
-            _PTR, _PTR,                    # completion, qlen
-            _PTR, _PTR, _I64,              # heap_t, heap_s, heap_cap
-            _PTR, _PTR, _PTR, _PTR,        # sojourns, scratch_d, scratch_i, ctl
-        ],
-    ),
 }
 
 
@@ -133,6 +118,21 @@ _OPTIONAL_SIGNATURES = {
     "rfp_service_program": (
         None,
         [_PTR, _I64, _I64, _PTR, _PTR, ctypes.c_double, _PTR],
+    ),
+    "rfp_cluster_events": (
+        _I64,
+        [
+            _PTR, _I64, _I64, _I64, _I64,  # epochs, n, warmup, fanout, n_servers
+            _I64, _PTR, _PTR, _PTR,        # mode, assign, dispatch, servers
+            _I64, _PTR, _PTR,              # service program: nterms, ops, par
+            ctypes.c_double,               # service program: init
+            _I64, ctypes.c_double, _I64,   # has_penalty, penalty, cap
+            _PTR, _PTR, _PTR,              # waits, services, idles
+            _PTR, _PTR, _PTR,              # out_cnt, idle_cnt, warmup_cnt
+            _PTR, _PTR,                    # completion, qlen
+            _PTR, _PTR, _I64,              # heap_t, heap_s, heap_cap
+            _PTR, _PTR, _PTR, _PTR,        # sojourns, scratch_d, scratch_i, ctl
+        ],
     ),
 }
 
@@ -180,12 +180,11 @@ def _npyrandom_flags() -> list[str]:
 
 
 def _compiler() -> str | None:
-    cc = os.environ.get("CC")
-    if cc and shutil.which(cc):
-        return cc
-    for candidate in ("cc", "gcc", "clang"):
-        if shutil.which(candidate):
-            return candidate
+    """The resolved path of ``$CC``, else of ``cc``, ``gcc`` or ``clang``."""
+    for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
+        path = candidate and shutil.which(candidate)
+        if path:
+            return path
     return None
 
 
@@ -197,10 +196,7 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-fastpath-{uid}"
 
 
-def _compile(source: Path, out: Path, extra: list[str]) -> bool:
-    cc = _compiler()
-    if cc is None:
-        return False
+def _compile(cc: str, source: Path, out: Path, extra: list[str]) -> bool:
     out.parent.mkdir(parents=True, exist_ok=True)
     # Build into a private temp file, then atomically publish, so parallel
     # pool workers racing on a cold cache never load a half-written .so.
@@ -232,17 +228,21 @@ def _load() -> ctypes.CDLL | None:
         return None
     import numpy
 
+    cc = _compiler()
+    if cc is None:
+        return None
     extra = _npyrandom_flags()
-    build = "\0".join([numpy.__version__, *_CFLAGS, *extra]).encode()
+    build = "\0".join([cc, numpy.__version__, *_CFLAGS, *extra]).encode()
     digest = hashlib.sha256(source + b"\0" + build).hexdigest()[:16]
     so_path = _cache_dir() / f"kernel-{digest}.so"
     try:
         if (
             not so_path.exists()
-            and not _compile(_KERNEL_SRC, so_path, extra)
+            and not _compile(cc, _KERNEL_SRC, so_path, extra)
             # A sampler library that will not link costs only the
-            # service program, not the whole kernel.
-            and not (extra and _compile(_KERNEL_SRC, so_path, []))
+            # service program and the cluster event loop, not the
+            # whole kernel.
+            and not (extra and _compile(cc, _KERNEL_SRC, so_path, []))
         ):
             return None
         lib = ctypes.CDLL(str(so_path))

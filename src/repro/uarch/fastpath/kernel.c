@@ -17,7 +17,8 @@
 
 #ifdef RFP_HAVE_NPYRANDOM
 /* NumPy's own sampler library (libnpyrandom.a) behind the service
- * program; the header pulls in Python.h, which must come first. */
+ * program and the cluster event loop; the header pulls in Python.h,
+ * which must come first. */
 #include "numpy/random/distributions.h"
 #endif
 
@@ -1971,205 +1972,77 @@ i64 rfp_tracegen(const double *dp, const i64 *ip, const double *kind_draws,
     return RFP_OK;
 }
 
-/* ------------------------------------------------------------- PCG64
- * Minimal port of NumPy's PCG64 bit generator (the default_rng stream):
- * a 128-bit LCG with XSL-RR output, plus the exact draw ladder the
- * cluster balancers consume — raw 64-bit words, ``random()`` doubles,
- * and the buffered bounded integers behind ``Generator.choice``
- * (Lemire rejection over a 32-bit half-word buffer).  State crosses the
- * boundary as six words [state_hi, state_lo, inc_hi, inc_lo,
- * has_uint32, uinteger]: seeded from ``Generator.bit_generator.state``
- * on kernel entry and written back on exit, so the dispatch stream
- * advances identically to the interpreted path (pinned draw-for-draw by
- * tests/uarch/test_pcg64_port.py). */
+#ifdef RFP_HAVE_NPYRANDOM
+/* -- service program (common/distributions.py ServiceProgram) -----------
+ * Draws base service times on a live NumPy bit generator, replaying one
+ * request's `service_time` per output: for each term, draw (or read the
+ * constant), then multiply by the ScaledDistribution factor, divide by
+ * 1e6 (microseconds -> seconds), multiply by the slowdown, and add to
+ * the accumulator that starts at `init`.  The draws are NumPy's own
+ * `random_*` functions on the generator's `bitgen_t`, so values and the
+ * generator's end state equal the same number of sequential interpreted
+ * calls.
+ *
+ * ops[t]: kind (low 3 bits) | SVC_SCALE | SVC_PER_US | SVC_SLOW.
+ * par[4t..4t+3]: p0, p1, factor, slowdown.  Kinds: constant p0,
+ * exponential(scale p0), uniform(low p0, range p1), lognormal(mu p0,
+ * sigma p1), p1 * pareto(shape p0). */
 
-#define RFP_PCG_MULT_HI 0x2360ed051fc65da4ULL
-#define RFP_PCG_MULT_LO 0x4385df649fccf645ULL
+#define SVC_CONST 0
+#define SVC_EXPONENTIAL 1
+#define SVC_UNIFORM 2
+#define SVC_LOGNORMAL 3
+#define SVC_PARETO 4
+#define SVC_SCALE 8
+#define SVC_PER_US 16
+#define SVC_SLOW 32
 
-typedef struct {
-    uint64_t shi, slo; /* 128-bit LCG state */
-    uint64_t ihi, ilo; /* 128-bit increment (odd) */
-    uint64_t has32;    /* buffered half-word present? */
-    uint64_t u32;      /* the buffered half-word */
-} rfp_pcg;
-
-static void rfp_pcg_load(rfp_pcg *g, const uint64_t *words) {
-    g->shi = words[0];
-    g->slo = words[1];
-    g->ihi = words[2];
-    g->ilo = words[3];
-    g->has32 = words[4];
-    g->u32 = words[5];
-}
-
-static void rfp_pcg_store(const rfp_pcg *g, uint64_t *words) {
-    words[0] = g->shi;
-    words[1] = g->slo;
-    words[2] = g->ihi;
-    words[3] = g->ilo;
-    words[4] = g->has32;
-    words[5] = g->u32;
-}
-
-/* Full 64x64 -> 128 product; the builtin when available, a 32-bit
- * split otherwise (the LCG step and 64-bit Lemire rejection need the
- * high word). */
-static inline uint64_t rfp_mul64wide(uint64_t a, uint64_t b, uint64_t *hi) {
-#if defined(__SIZEOF_INT128__)
-    unsigned __int128 p = (unsigned __int128)a * b;
-    *hi = (uint64_t)(p >> 64);
-    return (uint64_t)p;
-#else
-    uint64_t a_lo = (uint32_t)a, a_hi = a >> 32;
-    uint64_t b_lo = (uint32_t)b, b_hi = b >> 32;
-    uint64_t p0 = a_lo * b_lo;
-    uint64_t p1 = a_lo * b_hi;
-    uint64_t p2 = a_hi * b_lo;
-    uint64_t p3 = a_hi * b_hi;
-    uint64_t cross = (p0 >> 32) + (uint32_t)p1 + (uint32_t)p2;
-    *hi = p3 + (p1 >> 32) + (p2 >> 32) + (cross >> 32);
-    return (cross << 32) | (uint32_t)p0;
-#endif
-}
-
-static inline uint64_t rfp_pcg_next64(rfp_pcg *g) {
-    /* state = state * PCG_DEFAULT_MULTIPLIER + inc  (mod 2^128) */
-    uint64_t hi, lo;
-    lo = rfp_mul64wide(g->slo, RFP_PCG_MULT_LO, &hi);
-    hi += g->slo * RFP_PCG_MULT_HI + g->shi * RFP_PCG_MULT_LO;
-    lo += g->ilo;
-    if (lo < g->ilo) hi++;
-    hi += g->ihi;
-    g->slo = lo;
-    g->shi = hi;
-    /* XSL-RR output: rotr64(hi ^ lo, state >> 122) */
-    uint64_t v = hi ^ lo;
-    unsigned r = (unsigned)(hi >> 58);
-    return (v >> r) | (v << ((64 - r) & 63));
-}
-
-static inline uint32_t rfp_pcg_next32(rfp_pcg *g) {
-    if (g->has32) {
-        g->has32 = 0;
-        return (uint32_t)g->u32;
-    }
-    uint64_t n = rfp_pcg_next64(g);
-    g->has32 = 1;
-    g->u32 = n >> 32;
-    return (uint32_t)n;
-}
-
-static inline double rfp_pcg_double(rfp_pcg *g) {
-    /* next_double: 53 high bits / 2^53 — never touches the 32-bit buffer. */
-    return (double)(rfp_pcg_next64(g) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* numpy's random_bounded_uint64(off=0, rng, mask=0, use_masked=0):
- * uniform integer on [0, rng] inclusive.  rng == 0 draws nothing;
- * 32-bit ranges go through the buffered Lemire path (except the
- * full 32-bit range, which is one raw half-word); the full 64-bit
- * range is one raw word; anything else is 64-bit Lemire. */
-static inline uint64_t rfp_pcg_bounded(rfp_pcg *g, uint64_t rng) {
-    if (rng == 0) return 0;
-    if (rng <= 0xffffffffULL) {
-        if (rng == 0xffffffffULL) return (uint64_t)rfp_pcg_next32(g);
-        const uint32_t rng_excl = (uint32_t)rng + 1u;
-        const uint32_t threshold = (uint32_t)((0xffffffffULL - rng) % rng_excl);
-        for (;;) {
-            uint64_t m = (uint64_t)rfp_pcg_next32(g) * rng_excl;
-            if ((uint32_t)m >= threshold) return m >> 32;
+/* One request's base service time. */
+static inline double rfp_service_one(bitgen_t *bg, i64 nterms, const i64 *ops,
+                                     const double *par, double init) {
+    double acc = init;
+    for (i64 t = 0; t < nterms; t++) {
+        const double *p = par + 4 * t;
+        i64 op = ops[t];
+        double v;
+        switch (op & 7) {
+        case SVC_EXPONENTIAL: v = random_exponential(bg, p[0]); break;
+        case SVC_UNIFORM: v = random_uniform(bg, p[0], p[1]); break;
+        case SVC_LOGNORMAL: v = random_lognormal(bg, p[0], p[1]); break;
+        case SVC_PARETO: v = p[1] * random_pareto(bg, p[0]); break;
+        default: v = p[0]; break;
         }
+        if (op & SVC_SCALE) v = v * p[2];
+        if (op & SVC_PER_US) v = v / 1e6;
+        if (op & SVC_SLOW) v = v * p[3];
+        acc = acc + v;
     }
-    if (rng == 0xffffffffffffffffULL) return rfp_pcg_next64(g);
-    const uint64_t rng_excl = rng + 1;
-    const uint64_t threshold = (0xffffffffffffffffULL - rng) % rng_excl;
-    for (;;) {
-        uint64_t m_hi;
-        uint64_t m_lo = rfp_mul64wide(rfp_pcg_next64(g), rng_excl, &m_hi);
-        if (m_lo >= threshold) return m_hi;
-    }
+    return acc;
 }
 
-/* Generator.choice(pop, size=2, replace=False) for pop >= 3: Floyd's
- * algorithm over a 4-slot open-addressing hash set (numpy sizes the set
- * from int(1.2 * 2) == 2 picks, giving mask 3), then the closing
- * Fisher-Yates pass, which for two picks is a single bounded(1) swap
- * draw.  Exactly numpy's draw sequence, collisions included. */
-static void rfp_pcg_choice2(rfp_pcg *g, i64 pop, i64 *out) {
-    uint64_t hval[4];
-    int hused[4] = {0, 0, 0, 0};
-    i64 idx[2];
-    for (i64 j = pop - 2; j < pop; j++) {
-        uint64_t val = rfp_pcg_bounded(g, (uint64_t)j);
-        uint64_t loc = val & 3u;
-        while (hused[loc] && hval[loc] != val) loc = (loc + 1) & 3u;
-        if (!hused[loc]) {
-            hused[loc] = 1;
-            hval[loc] = val;
-            idx[j - (pop - 2)] = (i64)val;
-        } else {
-            loc = (uint64_t)j & 3u;
-            while (hused[loc]) loc = (loc + 1) & 3u;
-            hused[loc] = 1;
-            hval[loc] = (uint64_t)j;
-            idx[j - (pop - 2)] = j;
-        }
-    }
-    uint64_t jswap = rfp_pcg_bounded(g, 1);
-    i64 tmp = idx[1];
-    idx[1] = idx[jswap];
-    idx[jswap] = tmp;
-    out[0] = idx[0];
-    out[1] = idx[1];
-}
-
-/* Test entry points: drive the generator standalone so the differential
- * suite can pin every draw kind against numpy.  `words` is the 6-word
- * state block, updated in place. */
-void rfp_pcg64_raw(uint64_t *words, i64 n, uint64_t *out) {
-    rfp_pcg g;
-    rfp_pcg_load(&g, words);
-    for (i64 i = 0; i < n; i++) out[i] = rfp_pcg_next64(&g);
-    rfp_pcg_store(&g, words);
-}
-
-void rfp_pcg64_doubles(uint64_t *words, i64 n, double *out) {
-    rfp_pcg g;
-    rfp_pcg_load(&g, words);
-    for (i64 i = 0; i < n; i++) out[i] = rfp_pcg_double(&g);
-    rfp_pcg_store(&g, words);
-}
-
-void rfp_pcg64_bounded(uint64_t *words, i64 n, const uint64_t *rng_incl,
-                       uint64_t *out) {
-    rfp_pcg g;
-    rfp_pcg_load(&g, words);
-    for (i64 i = 0; i < n; i++) out[i] = rfp_pcg_bounded(&g, rng_incl[i]);
-    rfp_pcg_store(&g, words);
-}
-
-void rfp_pcg64_choice2(uint64_t *words, i64 pop, i64 *out) {
-    rfp_pcg g;
-    rfp_pcg_load(&g, words);
-    rfp_pcg_choice2(&g, pop, out);
-    rfp_pcg_store(&g, words);
+/* `n` base service times, one request per output. */
+void rfp_service_program(bitgen_t *bg, i64 n, i64 nterms, const i64 *ops,
+                         const double *par, double init, double *out) {
+    for (i64 k = 0; k < n; k++)
+        out[k] = rfp_service_one(bg, nterms, ops, par, init);
 }
 
 /* ---------------------------------------------- cluster event loop
  * Port of ClusterSimulator._run_event_loop (cluster/sim.py): the
  * global-order executor for every balancer.  State-independent ones
  * pass their precomputed assignment matrix (mode 0); JSQ and
- * power-of-two selection consumes the dispatch PCG64 stream live.
- * Service times arrive
- * pre-drawn per server (the batch_base ladder) and the driver refills
- * them chunk-wise when the kernel ejects.  All queueing arithmetic is
- * the reference loop's scalar double ops, so results are byte-identical.
+ * power-of-two selection draws live on the dispatch generator's
+ * `bitgen_t`, and every leaf's service time is drawn live on its
+ * server's `bitgen_t` by the service program, at the point the
+ * reference loop calls `service_time`.  Every stream therefore advances
+ * exactly as the reference loop advances it, for any NumPy bit
+ * generator, and all queueing arithmetic is the reference loop's scalar
+ * double ops, so results are byte-identical.
  */
 
 #define RFPC_DONE 0
-#define RFPC_REFILL 1
-#define RFPC_GROW_OUT 2
-#define RFPC_GROW_HEAP 3
+#define RFPC_GROW_OUT 1
+#define RFPC_GROW_HEAP 2
 #define RFPC_ERR_NEGATIVE (-1)
 
 /* Global departure min-heap (pairs of epoch, server). */
@@ -2210,9 +2083,9 @@ static inline void rfpc_heap_pop(double *ht, i64 *hs, i64 *size) {
  * ordered by (queue length, random key, index).  The reference always
  * draws all n_servers keys; so does this.  `keys` is n_servers scratch,
  * `sel` holds the chosen servers in rank order. */
-static void rfpc_jsq_select(rfp_pcg *g, i64 n_servers, i64 fanout,
+static void rfpc_jsq_select(bitgen_t *bg, i64 n_servers, i64 fanout,
                             const i64 *qlen, double *keys, i64 *sel) {
-    for (i64 s = 0; s < n_servers; s++) keys[s] = rfp_pcg_double(g);
+    for (i64 s = 0; s < n_servers; s++) keys[s] = next_double(bg);
     i64 cnt = 0;
     for (i64 s = 0; s < n_servers; s++) {
         i64 pos = cnt;
@@ -2231,6 +2104,40 @@ static void rfpc_jsq_select(rfp_pcg *g, i64 n_servers, i64 fanout,
     }
 }
 
+/* Generator.choice(pop, size=2, replace=False) for pop >= 3: Floyd's
+ * algorithm over a 4-slot open-addressing hash set (numpy sizes the set
+ * from int(1.2 * 2) == 2 picks, giving mask 3), then the closing
+ * Fisher-Yates pass, which for two picks is a single bounded(1) swap
+ * draw.  Every draw is numpy's own random_bounded_uint64 call, so the
+ * sequence (collisions and buffered half-words included) is choice's. */
+static void rfpc_choice2(bitgen_t *bg, i64 pop, i64 *out) {
+    uint64_t hval[4];
+    int hused[4] = {0, 0, 0, 0};
+    i64 idx[2];
+    for (i64 j = pop - 2; j < pop; j++) {
+        uint64_t val = random_bounded_uint64(bg, 0, (uint64_t)j, 0, 0);
+        uint64_t loc = val & 3u;
+        while (hused[loc] && hval[loc] != val) loc = (loc + 1) & 3u;
+        if (!hused[loc]) {
+            hused[loc] = 1;
+            hval[loc] = val;
+            idx[j - (pop - 2)] = (i64)val;
+        } else {
+            loc = (uint64_t)j & 3u;
+            while (hused[loc]) loc = (loc + 1) & 3u;
+            hused[loc] = 1;
+            hval[loc] = (uint64_t)j;
+            idx[j - (pop - 2)] = j;
+        }
+    }
+    uint64_t jswap = random_bounded_uint64(bg, 0, 1, 0, 0);
+    i64 tmp = idx[1];
+    idx[1] = idx[jswap];
+    idx[jswap] = tmp;
+    out[0] = idx[0];
+    out[1] = idx[1];
+}
+
 /* The k-th smallest server index not yet chosen this request; `removed`
  * is the sorted chosen list (the C twin of
  * PowerOfTwoBalancer._nth_available). */
@@ -2246,7 +2153,7 @@ static inline i64 rfpc_nth_available(i64 k, const i64 *removed, i64 nrem) {
  * Generator.choice (Floyd + swap), comparison by queue length with a
  * fresh double deciding ties — the exact draw order of
  * PowerOfTwoBalancer.select.  `removed` is fanout scratch. */
-static void rfpc_p2c_select(rfp_pcg *g, i64 n_servers, i64 fanout,
+static void rfpc_p2c_select(bitgen_t *bg, i64 n_servers, i64 fanout,
                             const i64 *qlen, i64 *sel, i64 *removed) {
     i64 nrem = 0;
     for (i64 i = 0; i < fanout; i++) {
@@ -2259,7 +2166,7 @@ static void rfpc_p2c_select(rfp_pcg *g, i64 n_servers, i64 fanout,
                 probes[k] = rfpc_nth_available(k, removed, nrem);
         } else {
             i64 picks[2];
-            rfp_pcg_choice2(g, m, picks);
+            rfpc_choice2(bg, m, picks);
             probes[0] = rfpc_nth_available(picks[0], removed, nrem);
             probes[1] = rfpc_nth_available(picks[1], removed, nrem);
             nprobes = 2;
@@ -2268,7 +2175,7 @@ static void rfpc_p2c_select(rfp_pcg *g, i64 n_servers, i64 fanout,
         for (i64 c = 1; c < nprobes; c++) {
             i64 cand = probes[c];
             if (qlen[cand] < qlen[best] ||
-                (qlen[cand] == qlen[best] && rfp_pcg_double(g) < 0.5))
+                (qlen[cand] == qlen[best] && next_double(bg) < 0.5))
                 best = cand;
         }
         sel[i] = best;
@@ -2282,22 +2189,23 @@ static void rfpc_p2c_select(rfp_pcg *g, i64 n_servers, i64 fanout,
 }
 
 /* One cluster event-loop run (resumable).  mode: 0 = precomputed
- * assignment matrix, 1 = JSQ, 2 = power-of-two.  Per-server outputs are
- * row-major [n_servers, cap]; `svc` holds pre-drawn base service times
- * with `svc_filled[s]` valid entries, `out_cnt[s]` of them consumed (so
- * out_cnt doubles as each server's leaf count).  `ctl` carries
- * [next request index, heap size] across ejects; the driver re-enters
- * with the same arrays (grown or refilled) until RFPC_DONE.  The
- * eject check is amortized: before each slice the kernel computes how
- * many whole requests are guaranteed to fit (every request consumes at
- * most one service draw + one output slot per chosen server and fanout
- * heap slots) and ejects when that budget is zero. */
+ * assignment matrix, 1 = JSQ, 2 = power-of-two.  `dispatch` is the
+ * dispatch generator (unused in mode 0), `servers[s]` server s's
+ * generator, and (nterms, ops, par, init) the service program.
+ * Per-server outputs are row-major [n_servers, cap], `out_cnt[s]` of
+ * them written (so out_cnt is each server's leaf count).  `ctl`
+ * carries [next request index, heap size] across ejects; the driver
+ * re-enters with the same arrays (grown) until RFPC_DONE.  The eject
+ * check is amortized: before each slice the kernel computes how many
+ * whole requests are guaranteed to fit (every request takes at most
+ * one output slot per chosen server and fanout heap slots) and ejects
+ * when that budget is zero. */
 i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                        i64 fanout, i64 n_servers, i64 mode,
-                       const i64 *restrict assign, uint64_t *pcg_words,
-                       i64 has_penalty, double penalty,
-                       const double *restrict svc,
-                       const i64 *restrict svc_filled, i64 cap,
+                       const i64 *restrict assign, bitgen_t *dispatch,
+                       bitgen_t *const *restrict servers, i64 nterms,
+                       const i64 *restrict ops, const double *restrict par,
+                       double init, i64 has_penalty, double penalty, i64 cap,
                        double *restrict waits, double *restrict services,
                        double *restrict idles, i64 *restrict out_cnt,
                        i64 *restrict idle_cnt, i64 *restrict warmup_cnt,
@@ -2306,8 +2214,6 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                        i64 heap_cap, double *restrict sojourns,
                        double *restrict scratch_d, i64 *restrict scratch_i,
                        i64 *ctl) {
-    rfp_pcg g;
-    if (mode != 0) rfp_pcg_load(&g, pcg_words);
     i64 j = ctl[0];
     i64 heap_size = ctl[1];
     i64 *sel = scratch_i;             /* fanout */
@@ -2321,11 +2227,6 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
             if (room < budget) {
                 budget = room;
                 reason = RFPC_GROW_OUT;
-            }
-            i64 avail = svc_filled[s] - out_cnt[s];
-            if (avail < budget) {
-                budget = avail;
-                reason = RFPC_REFILL;
             }
         }
         if (budget <= 0) {
@@ -2344,10 +2245,12 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
             if (mode == 0) {
                 chosen = assign + j * fanout;
             } else if (mode == 1) {
-                rfpc_jsq_select(&g, n_servers, fanout, qlen, scratch_d, sel);
+                rfpc_jsq_select(dispatch, n_servers, fanout, qlen, scratch_d,
+                                sel);
                 chosen = sel;
             } else {
-                rfpc_p2c_select(&g, n_servers, fanout, qlen, sel, removed);
+                rfpc_p2c_select(dispatch, n_servers, fanout, qlen, sel,
+                                removed);
                 chosen = sel;
             }
             int retained = j >= warmup;
@@ -2366,11 +2269,11 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                     if (retained && out_cnt[i] > warmup_cnt[i])
                         idles[i * cap + idle_cnt[i]++] = idle_before;
                 }
-                double service = svc[slot];
+                double service = rfp_service_one(servers[i], nterms, ops, par,
+                                                 init);
                 if (has_penalty && idle_before > 0.0)
                     service = service + penalty;
                 if (service < 0.0) {
-                    if (mode != 0) rfp_pcg_store(&g, pcg_words);
                     ctl[0] = j;
                     ctl[1] = heap_size;
                     return RFPC_ERR_NEGATIVE;
@@ -2389,57 +2292,8 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
             sojourns[j] = worst;
         }
     }
-    if (mode != 0) rfp_pcg_store(&g, pcg_words);
     ctl[0] = j;
     ctl[1] = heap_size;
     return rc;
-}
-
-#ifdef RFP_HAVE_NPYRANDOM
-/* -- service program (common/distributions.py ServiceProgram) -----------
- * Draws `n` base service times on a live NumPy bit generator, replaying
- * one request's `service_time` per output: for each term, draw (or read
- * the constant), then multiply by the ScaledDistribution factor, divide
- * by 1e6 (microseconds -> seconds), multiply by the slowdown, and add to
- * the accumulator that starts at `init`.  The draws are NumPy's own
- * `random_*` functions on the generator's `bitgen_t`, so values and the
- * generator's end state equal `n` sequential interpreted calls.
- *
- * ops[t]: kind (low 3 bits) | SVC_SCALE | SVC_PER_US | SVC_SLOW.
- * par[4t..4t+3]: p0, p1, factor, slowdown.  Kinds: constant p0,
- * exponential(scale p0), uniform(low p0, range p1), lognormal(mu p0,
- * sigma p1), p1 * pareto(shape p0). */
-
-#define SVC_CONST 0
-#define SVC_EXPONENTIAL 1
-#define SVC_UNIFORM 2
-#define SVC_LOGNORMAL 3
-#define SVC_PARETO 4
-#define SVC_SCALE 8
-#define SVC_PER_US 16
-#define SVC_SLOW 32
-
-void rfp_service_program(bitgen_t *bg, i64 n, i64 nterms, const i64 *ops,
-                         const double *par, double init, double *out) {
-    for (i64 k = 0; k < n; k++) {
-        double acc = init;
-        for (i64 t = 0; t < nterms; t++) {
-            const double *p = par + 4 * t;
-            i64 op = ops[t];
-            double v;
-            switch (op & 7) {
-            case SVC_EXPONENTIAL: v = random_exponential(bg, p[0]); break;
-            case SVC_UNIFORM: v = random_uniform(bg, p[0], p[1]); break;
-            case SVC_LOGNORMAL: v = random_lognormal(bg, p[0], p[1]); break;
-            case SVC_PARETO: v = p[1] * random_pareto(bg, p[0]); break;
-            default: v = p[0]; break;
-            }
-            if (op & SVC_SCALE) v = v * p[2];
-            if (op & SVC_PER_US) v = v / 1e6;
-            if (op & SVC_SLOW) v = v * p[3];
-            acc = acc + v;
-        }
-        out[k] = acc;
-    }
 }
 #endif

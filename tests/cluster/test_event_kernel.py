@@ -1,10 +1,12 @@
 """The compiled cluster event loop: byte-identity with the Python
-reference, stream end-state, eject/refill/growth paths, and the
-eligibility ladder (spy tests proving when the kernel must NOT bind).
+reference, stream end states on every bit generator, the growth ejects,
+and the eligibility ladder (spy tests proving when the kernel must NOT
+bind).
 The randomized kernel-vs-oracle differential lives in
 ``test_executor_fuzz.py``.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,9 +15,13 @@ import pytest
 from repro.cluster import sim as sim_module
 from repro.cluster import tailobs
 from repro.cluster.arrivals import MMPPArrivals, PoissonArrivals
-from repro.cluster.sim import DISPATCH_STREAM, ClusterSimulator
-from repro.common.distributions import Distribution, Exponential
-from repro.common.rng import SeedSequenceFactory
+from repro.cluster.sim import (
+    DISPATCH_STREAM,
+    SERVER_STREAM_PREFIX,
+    ClusterSimulator,
+)
+from repro.common.distributions import Distribution, Exponential, ServiceProgram
+from repro.common.rng import SeedSequenceFactory, derive_seed
 from repro.queueing.mg1 import RestartPenaltyService
 from repro.uarch import fastpath
 from repro.uarch.fastpath import cluster as fp_cluster
@@ -26,21 +32,43 @@ needs_kernel = pytest.mark.skipif(
 
 SERVICE = Exponential(100e-6)
 PENALIZED = RestartPenaltyService(Exponential(100e-6), 5e-6)
+BALANCERS = ("random", "round_robin", "jsq", "power_of_two")
+BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.Philox,
+    np.random.SFC64,
+    np.random.MT19937,
+)
+
+
+def streams_on(bit_generator):
+    """A stream factory whose generators run on ``bit_generator``."""
+
+    class Streams(SeedSequenceFactory):
+        def get(self, label):
+            return np.random.Generator(
+                bit_generator(derive_seed(self.root_seed, label))
+            )
+
+    return Streams
 
 
 def assert_results_identical(a, b):
-    assert np.array_equal(a.sojourn_times, b.sojourn_times)
-    assert a.duration == b.duration
-    assert a.arrival_rate == b.arrival_rate
-    assert a.fanout == b.fanout and a.balancer == b.balancer
-    assert len(a.servers) == len(b.servers)
-    for sa, sb in zip(a.servers, b.servers):
-        assert np.array_equal(sa.wait_times, sb.wait_times)
-        assert np.array_equal(sa.service_times, sb.service_times)
-        assert np.array_equal(sa.idle_periods, sb.idle_periods)
-        assert sa.busy_time == sb.busy_time
-        assert sa.duration == sb.duration
-        assert sa.arrival_rate == sb.arrival_rate
+    """Every dataclass field equal (bar which executor ran), arrays byte
+    for byte."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        if f.name == "fastpath_servers":
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        elif f.name == "servers":
+            assert len(x) == len(y)
+            for sx, sy in zip(x, y):
+                assert_results_identical(sx, sy)
+        else:
+            assert x == y, f.name
 
 
 def make_sim(
@@ -104,18 +132,23 @@ class TestKernelByteIdentity:
         assert reference.fastpath_servers == 0
         assert_results_identical(compiled, reference)
 
-    @pytest.mark.parametrize("balancer", ["jsq", "power_of_two"])
-    def test_dispatch_stream_end_state_identical(self, balancer, monkeypatch):
-        """The kernel's written-back PCG64 state equals the state the
-        interpreted loop leaves behind — the dispatch stream advances
-        identically (has_uint32/uinteger buffer included)."""
+    @pytest.mark.parametrize(
+        "bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__
+    )
+    @pytest.mark.parametrize("balancer", BALANCERS)
+    def test_dispatch_stream_end_state_identical(
+        self, balancer, bit_generator, monkeypatch
+    ):
+        """On any NumPy bit generator the kernel binds, matches the
+        Python loop on every result field, and leaves every stream —
+        dispatch and each server's — in the oracle's end state (buffered
+        half-words included)."""
         captured = []
 
-        class Recording(SeedSequenceFactory):
+        class Recording(streams_on(bit_generator)):
             def get(self, label):
                 rng = super().get(label)
-                if label == DISPATCH_STREAM:
-                    captured.append(rng)
+                captured.append((label, rng))
                 return rng
 
         monkeypatch.setattr(sim_module, "SeedSequenceFactory", Recording)
@@ -124,17 +157,25 @@ class TestKernelByteIdentity:
             compiled = make_sim(balancer, fanout=3).run(2_000, 200)
         finally:
             fastpath.set_mode(None)
+        kernel_streams = list(captured)
+        captured.clear()
         reference = run_oracle(make_sim(balancer, fanout=3), 2_000, 200)
+        assert compiled.fastpath_servers == 5
         assert_results_identical(compiled, reference)
-        assert len(captured) == 2
-        state_kernel = captured[0].bit_generator.state
-        state_python = captured[1].bit_generator.state
-        assert state_kernel == state_python
+        labels = [label for label, _ in kernel_streams]
+        assert labels == [label for label, _ in captured]
+        assert DISPATCH_STREAM in labels
+        servers = [x for x in labels if x.startswith(SERVER_STREAM_PREFIX)]
+        assert len(servers) == 5
+        for (label, ours), (_, theirs) in zip(kernel_streams, captured):
+            # States hold arrays (Philox, SFC64, MT19937): compare deeply.
+            np.testing.assert_equal(
+                ours.bit_generator.state, theirs.bit_generator.state, label
+            )
 
-    def test_refill_and_growth_paths_stay_identical(self, monkeypatch):
-        """Tiny buffers force every eject path — service refills, output
-        doubling, heap doubling — without changing a single byte."""
-        monkeypatch.setattr(fp_cluster, "CHUNK", 3)
+    def test_growth_paths_stay_identical(self, monkeypatch):
+        """Tiny buffers force every eject path — output doubling, heap
+        doubling — without changing a single byte."""
         monkeypatch.setattr(fp_cluster, "HEAP_CAP", 2)
         monkeypatch.setattr(
             fp_cluster, "initial_capacity", lambda n, f, s: 4
@@ -149,6 +190,14 @@ class TestKernelByteIdentity:
         assert_results_identical(compiled, reference)
 
     def test_negative_service_raises_like_the_reference(self):
+        # Deterministic rejects negative values, so the program that
+        # draws -1.0 per request is built by hand.
+        program = ServiceProgram(
+            ops=np.zeros(1, dtype=np.int64),
+            params=np.array([[-1.0, 0.0, 1.0, 1.0]]),
+            init=-0.0,
+        )
+
         @dataclass(frozen=True)
         class NegativeService:
             def service_time(self, rng, idle_before):
@@ -157,19 +206,37 @@ class TestKernelByteIdentity:
             def mean_service_time(self):
                 return 1.0
 
+            @property
+            def program(self):
+                return program
+
             def batch_base(self, rng, n):
-                return np.full(n, -1.0), 0.0, False
+                return program.sample(rng, n), 0.0, False
 
         sim = ClusterSimulator(
             PoissonArrivals(1000.0), NegativeService(), n_servers=3,
             fanout=2, balancer="jsq", seed=5,
         )
+        raised = []
+        real = fp_cluster.run_cluster_events
+
+        def spy(**kwargs):
+            try:
+                return real(**kwargs)
+            except ValueError as err:
+                raised.append(err)
+                raise
+
         fastpath.set_mode("on")
         try:
-            with pytest.raises(ValueError, match="negative"):
-                sim.run(100, 10)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fp_cluster, "run_cluster_events", spy)
+                with pytest.raises(ValueError, match="negative"):
+                    sim.run(100, 10)
         finally:
             fastpath.set_mode(None)
+        # The kernel itself raised; the oracle never ran.
+        assert len(raised) == 1
 
 
 class TestEligibilityLadder:
@@ -249,8 +316,6 @@ class TestHeapDrainEquivalence:
     @pytest.mark.parametrize("balancer", ["jsq", "power_of_two"])
     def test_heap_loop_matches_deque_reference(self, balancer):
         from collections import deque
-
-        from repro.cluster.sim import SERVER_STREAM_PREFIX
 
         sim = make_sim(balancer, fanout=2)
         num_requests, warmup = 2_000, 200

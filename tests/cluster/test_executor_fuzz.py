@@ -1,15 +1,13 @@
 """Randomized differential: the compiled cluster event kernel against
 the Python reference oracle, over every balancer, topology, arrival
-process and service model, with buffers shrunk so the kernel's
-refill and grow ejects fire mid-run."""
+process, service model and NumPy bit generator, with buffers shrunk so
+the kernel's grow ejects fire mid-run."""
 
-import dataclasses
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import sim as sim_module
 from repro.cluster.arrivals import MMPPArrivals, PoissonArrivals
 from repro.cluster.sim import ClusterSimulator
 from repro.common.distributions import Exponential, LogNormal
@@ -18,12 +16,17 @@ from repro.queueing.mg1 import DistributionService, RestartPenaltyService
 from repro.uarch import fastpath
 from repro.uarch.fastpath import cluster as fp_cluster
 from repro.workloads import microservices as ms
+from tests.cluster.test_event_kernel import (
+    BALANCERS,
+    BIT_GENERATORS,
+    assert_results_identical,
+    streams_on,
+)
 
 pytestmark = pytest.mark.skipif(
     not fastpath.is_available(), reason="no C compiler / kernel unavailable"
 )
 
-BALANCERS = ("random", "round_robin", "jsq", "power_of_two")
 SERVICES = (
     DistributionService(Exponential(100e-6)),
     DistributionService(LogNormal(100e-6, 1.2)),
@@ -32,23 +35,6 @@ SERVICES = (
     DesignServiceModel(ms.rsc(), 1.3, 2.5e-7, 5e-7),
     DesignServiceModel(ms.mcrouter(), 1.1, 2.5e-7, 5e-7),
 )
-
-
-def assert_fields_identical(a, b):
-    """Every dataclass field equal, arrays byte for byte."""
-    assert type(a) is type(b)
-    for f in dataclasses.fields(a):
-        if f.name == "fastpath_servers":
-            continue
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
-        elif f.name == "servers":
-            assert len(x) == len(y)
-            for sx, sy in zip(x, y):
-                assert_fields_identical(sx, sy)
-        else:
-            assert x == y, f.name
 
 
 @st.composite
@@ -78,16 +64,16 @@ def clusters(draw):
     sim=clusters(),
     num_requests=st.integers(1, 400),
     warmup_frac=st.floats(0.0, 0.5),
-    chunk=st.integers(1, 16),
+    bit_generator=st.sampled_from(BIT_GENERATORS),
     heap_cap=st.integers(1, 8),
     out_cap=st.integers(1, 32),
 )
 def test_kernel_matches_python_oracle(
-    sim, num_requests, warmup_frac, chunk, heap_cap, out_cap
+    sim, num_requests, warmup_frac, bit_generator, heap_cap, out_cap
 ):
     warmup = int(num_requests * warmup_frac)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fp_cluster, "CHUNK", chunk)
+        mp.setattr(sim_module, "SeedSequenceFactory", streams_on(bit_generator))
         mp.setattr(fp_cluster, "HEAP_CAP", heap_cap)
         mp.setattr(fp_cluster, "initial_capacity", lambda n, f, s: out_cap)
         fastpath.set_mode("on")
@@ -106,4 +92,4 @@ def test_kernel_matches_python_oracle(
     # cluster-kernel servers; every other run binds the kernel.
     assert compiled.fastpath_servers == (0 if degenerate else sim.n_servers)
     assert reference.fastpath_servers == 0
-    assert_fields_identical(compiled, reference)
+    assert_results_identical(compiled, reference)

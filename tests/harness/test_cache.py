@@ -1,10 +1,14 @@
 """The persistent disk cache: keys, atomicity, robustness, eviction."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+from repro.harness import cache
 from repro.harness.cache import (
     CacheStats,
     DiskCache,
@@ -12,6 +16,7 @@ from repro.harness.cache import (
     configure,
     current_config,
     get_cache,
+    source_digest,
 )
 from repro.harness.fidelity import FAST
 from repro.harness.measure import CoreMeasurement
@@ -104,6 +109,30 @@ class TestSchemaSalt:
         v1.put(v1.key("measure", design="baseline"), 42.0)
         assert v2.get(v2.key("measure", design="baseline")) is None
         assert v1.get(v1.key("measure", design="baseline")) == 42.0
+
+    def test_source_digest_salts_the_key(self, tmp_path, monkeypatch):
+        store = DiskCache(tmp_path)
+        key = store.key("measure", design="baseline")
+        # The same tree gives the same key, in another instance...
+        other = DiskCache(tmp_path / "other")
+        assert other.key("measure", design="baseline") == key
+        # ...and another process, so warm caches stay warm.
+        fresh = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.harness.cache import source_digest; "
+                "print(source_digest())",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert fresh.stdout.strip() == source_digest()
+        # An edited tree gives a different key.
+        monkeypatch.setattr(cache, "source_digest", lambda: "edited")
+        assert store.key("measure", design="baseline") != key
 
 
 class TestEviction:

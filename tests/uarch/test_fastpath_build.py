@@ -1,12 +1,15 @@
-"""Building the fastpath kernel when NumPy's sampler library is missing.
+"""Building the fastpath kernel: without NumPy's sampler library, and
+the cache key of the built object.
 
 Without ``libnpyrandom.a`` or its headers the kernel compiles without
-the service program: every other entry point still loads, ``batch_base``
-returns ``None`` with the generator untouched, and service times come
-from the interpreted reference loop with identical results.
+the service program and the cluster event loop: every other entry point
+still loads, ``batch_base`` returns ``None`` with the generator
+untouched, and service times come from the interpreted reference loop
+with identical results.
 """
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -84,9 +87,11 @@ def no_sampler_library(monkeypatch, tmp_path):
 def test_missing_sampler_library_keeps_the_kernel(no_sampler_library):
     lib = build.load_kernel()
     assert lib is not None
-    for name in ("rfp_run", "rfp_tracegen", "rfp_lindley", "rfp_cluster_events"):
+    for name in ("rfp_run", "rfp_tracegen", "rfp_lindley"):
         assert getattr(lib, name).argtypes is not None
     assert build.service_program_kernel() is None
+    # The cluster event loop draws on the library too, so it is absent.
+    assert getattr(lib, "rfp_cluster_events", None) is None
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     assert SERVICE.batch_base(rng, 16) is None
@@ -127,3 +132,23 @@ def test_cache_key_covers_the_sampler_library(no_sampler_library, tmp_path):
         assert build.service_program_kernel() is not None
     built = sorted((tmp_path / "kernels").glob("kernel-*.so"))
     assert len(built) == 2 and without in built
+
+
+def test_cache_key_covers_the_compiler(monkeypatch, tmp_path):
+    """Two compilers build two objects: switching ``$CC`` never loads
+    the other compiler's build from a shared cache directory."""
+    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    for name in ("cc-one", "cc-two"):
+        wrapper = tmp_path / name
+        wrapper.write_text(f'#!/bin/sh\nexec {cc} "$@"\n')
+        wrapper.chmod(0o755)
+    monkeypatch.setenv("REPRO_FASTPATH_CACHE", str(tmp_path / "kernels"))
+    try:
+        for name in ("cc-one", "cc-two"):
+            monkeypatch.setenv("CC", str(tmp_path / name))
+            build.reset_for_tests()
+            assert build.load_kernel() is not None
+    finally:
+        monkeypatch.undo()
+        build.reset_for_tests()
+    assert len(list((tmp_path / "kernels").glob("kernel-*.so"))) == 2
