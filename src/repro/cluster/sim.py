@@ -32,8 +32,11 @@ differential test.  The oracle runs when ``fastpath.mode() == "off"``
 (``REPRO_FASTPATH=off``), when no kernel can be built, and for
 ineligible runs: a service model without a compiled service program (a
 ``Sum``, ``Mixture`` or distribution subclass, or no NumPy sampler
-library), or tail telemetry on a state-dependent balancer (which needs
-the per-request decisions the kernel does not report).
+library), or a state-dependent balancer the kernel does not know.  The
+kernel keeps queue lengths only for JSQ and power-of-two, in per-server
+FCFS departure rings, where the oracle drains one global heap; with
+tail telemetry on it reports each request's chosen servers, so
+telemetry binds the kernel for every balancer.
 
 Window semantics carry over from the M/G/1 path: the measurement window
 is ``[arrival of mid-tier request warmup, last departure cluster-wide]``
@@ -286,9 +289,7 @@ class ClusterSimulator:
         dispatch_rng = (
             streams.get(DISPATCH_STREAM) if assign is None else None
         )
-        # The kernel does not report per-request decisions, so a run that
-        # must record them stays on the Python loop.
-        if fastpath.mode() != "off" and decisions is None:
+        if fastpath.mode() != "off":
             from repro.uarch.fastpath import cluster as fp_cluster
 
             compiled = fp_cluster.run_cluster_events(
@@ -302,12 +303,18 @@ class ClusterSimulator:
                 rngs=rngs,
                 dispatch_rng=dispatch_rng,
                 balancer=self.balancer,
+                decisions=decisions,
             )
             if compiled is not None:
                 sojourns, per_server = compiled
                 obs.add("cluster.event_kernel_runs")
                 return self._assemble(
-                    epochs, sojourns, per_server, warmup, n_servers, assign
+                    epochs,
+                    sojourns,
+                    per_server,
+                    warmup,
+                    n_servers,
+                    assign if assign is not None else decisions,
                 )
         obs.add("cluster.event_python_runs")
         completion = [0.0] * n_servers

@@ -130,7 +130,7 @@ _OPTIONAL_SIGNATURES = {
             _PTR, _PTR, _PTR,              # waits, services, idles
             _PTR, _PTR, _PTR,              # out_cnt, idle_cnt, warmup_cnt
             _PTR, _PTR,                    # completion, qlen
-            _PTR, _PTR, _I64,              # heap_t, heap_s, heap_cap
+            _PTR, _PTR, _I64, _PTR,        # ring, head, ring_cap, decisions
             _PTR, _PTR, _PTR, _PTR,        # sojourns, scratch_d, scratch_i, ctl
         ],
     ),

@@ -18,9 +18,13 @@ draws every stream live on NumPy's own ``bitgen_t``
 
 Every generator, of any ``BitGenerator`` type, therefore ends in the
 state the interpreted loop leaves it in, and waits/services/idles are
-byte-identical.  When an output buffer or the departure heap fills, the
-kernel *ejects* back to Python, the driver grows it and re-enters — the
-same ``while not done`` resume contract as the engine adapter.
+byte-identical.  Only JSQ and power-of-two read queue lengths, so only
+they keep them, in one FCFS departure ring per server; with a
+``decisions`` buffer they also report each request's chosen servers
+(in assign mode the decisions are the assignment matrix).  When an
+output buffer or a departure ring fills, the kernel *ejects* back to
+Python, the driver grows it and re-enters — the same ``while not
+done`` resume contract as the engine adapter.
 
 Ineligible configurations (service models whose ``batch_base`` returns
 ``None`` — a ``Sum``, ``Mixture`` or distribution subclass, or no NumPy
@@ -34,13 +38,14 @@ import numpy as np
 
 from repro.uarch.fastpath.build import load_kernel
 
-#: Initial capacity of the global departure heap (grown by doubling).
-HEAP_CAP = 1024
+#: Initial per-server departure-ring capacity, a power of two (grown by
+#: doubling).  JSQ and power-of-two keep queues short.
+RING_CAP = 64
 
 #: Kernel return codes (keep in sync with kernel.c).
 _DONE = 0
 _GROW_OUT = 1
-_GROW_HEAP = 2
+_GROW_RING = 2
 _ERR_NEGATIVE = -1
 
 
@@ -66,13 +71,16 @@ def run_cluster_events(
     rngs: list[np.random.Generator],
     dispatch_rng: np.random.Generator | None,
     balancer,
+    decisions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[tuple]] | None:
     """Run the cluster event loop in the kernel, or ``None`` if ineligible.
 
     Returns ``(sojourns, per_server)`` where ``per_server`` entries are
     ``(waits, services, idles, last_departure, warmup_count)`` — the
-    exact tuples ``ClusterSimulator._assemble`` consumes.  On ``None``
-    every generator (dispatch and servers) is untouched.
+    exact tuples ``ClusterSimulator._assemble`` consumes.  A JSQ or
+    power-of-two run fills ``decisions`` (C-contiguous int64, shape
+    ``(num_requests, fanout)``) with each request's chosen servers.  On
+    ``None`` every generator (dispatch and servers) is untouched.
     """
     from repro.cluster.balancers import JSQBalancer, PowerOfTwoBalancer
 
@@ -126,15 +134,13 @@ def run_cluster_events(
     warmup_cnt = np.zeros(n_servers, dtype=np.int64)
     completion = np.zeros(n_servers)
     qlen = np.zeros(n_servers, dtype=np.int64)
-    heap_cap = HEAP_CAP
-    while heap_cap < fanout:
-        heap_cap *= 2
-    heap_t = np.empty(heap_cap)
-    heap_s = np.empty(heap_cap, dtype=np.int64)
+    head = np.zeros(n_servers, dtype=np.int64)
+    ring_cap = RING_CAP
+    ring = np.empty((n_servers, ring_cap))
     sojourns = np.empty(num_requests)
     scratch_d = np.empty(n_servers)
     scratch_i = np.empty(2 * fanout, dtype=np.int64)
-    ctl = np.zeros(2, dtype=np.int64)
+    ctl = np.zeros(1, dtype=np.int64)
 
     while True:
         rc = kernel(
@@ -162,9 +168,10 @@ def run_cluster_events(
             warmup_cnt.ctypes.data,
             completion.ctypes.data,
             qlen.ctypes.data,
-            heap_t.ctypes.data,
-            heap_s.ctypes.data,
-            heap_cap,
+            ring.ctypes.data,
+            head.ctypes.data,
+            ring_cap,
+            decisions.ctypes.data if decisions is not None else None,
             sojourns.ctypes.data,
             scratch_d.ctypes.data,
             scratch_i.ctypes.data,
@@ -183,13 +190,13 @@ def run_cluster_events(
                 grown.append(fresh)
             waits, services, idles = grown
             cap = new_cap
-        elif rc == _GROW_HEAP:
-            new_heap = heap_cap * 2
-            ht = np.empty(new_heap)
-            hs = np.empty(new_heap, dtype=np.int64)
-            ht[:heap_cap] = heap_t
-            hs[:heap_cap] = heap_s
-            heap_t, heap_s, heap_cap = ht, hs, new_heap
+        elif rc == _GROW_RING:
+            # Unroll every ring from its head into the lower half.
+            order = (head[:, None] + np.arange(ring_cap)) & (ring_cap - 1)
+            grown = np.empty((n_servers, 2 * ring_cap))
+            grown[:, :ring_cap] = np.take_along_axis(ring, order, axis=1)
+            ring, ring_cap = grown, 2 * ring_cap
+            head[:] = 0
         else:  # pragma: no cover - kernel/driver contract violation
             raise RuntimeError(f"unexpected cluster kernel return code {rc}")
 

@@ -2030,9 +2030,10 @@ void rfp_service_program(bitgen_t *bg, i64 n, i64 nterms, const i64 *ops,
 /* ---------------------------------------------- cluster event loop
  * Port of ClusterSimulator._run_event_loop (cluster/sim.py): the
  * global-order executor for every balancer.  State-independent ones
- * pass their precomputed assignment matrix (mode 0); JSQ and
- * power-of-two selection draws live on the dispatch generator's
- * `bitgen_t`, and every leaf's service time is drawn live on its
+ * pass their precomputed assignment matrix (mode 0) and track no queue
+ * lengths; JSQ and power-of-two selection draws live on the dispatch
+ * generator's `bitgen_t` against queue lengths kept in per-server
+ * departure rings, and every leaf's service time is drawn live on its
  * server's `bitgen_t` by the service program, at the point the
  * reference loop calls `service_time`.  Every stream therefore advances
  * exactly as the reference loop advances it, for any NumPy bit
@@ -2042,41 +2043,8 @@ void rfp_service_program(bitgen_t *bg, i64 n, i64 nterms, const i64 *ops,
 
 #define RFPC_DONE 0
 #define RFPC_GROW_OUT 1
-#define RFPC_GROW_HEAP 2
+#define RFPC_GROW_RING 2
 #define RFPC_ERR_NEGATIVE (-1)
-
-/* Global departure min-heap (pairs of epoch, server). */
-static inline void rfpc_heap_push(double *ht, i64 *hs, i64 *size, double t,
-                                  i64 s) {
-    i64 i = (*size)++;
-    while (i > 0) {
-        i64 p = (i - 1) >> 1;
-        if (ht[p] <= t) break;
-        ht[i] = ht[p];
-        hs[i] = hs[p];
-        i = p;
-    }
-    ht[i] = t;
-    hs[i] = s;
-}
-
-static inline void rfpc_heap_pop(double *ht, i64 *hs, i64 *size) {
-    i64 n = --(*size);
-    double t = ht[n];
-    i64 s = hs[n];
-    i64 i = 0;
-    for (;;) {
-        i64 c = 2 * i + 1;
-        if (c >= n) break;
-        if (c + 1 < n && ht[c + 1] < ht[c]) c++;
-        if (ht[c] >= t) break;
-        ht[i] = ht[c];
-        hs[i] = hs[c];
-        i = c;
-    }
-    ht[i] = t;
-    hs[i] = s;
-}
 
 /* JSQ selection: the first `fanout` entries of
  * np.lexsort((rng.random(n_servers), queue_lengths)) — i.e. servers
@@ -2188,18 +2156,58 @@ static void rfpc_p2c_select(bitgen_t *bg, i64 n_servers, i64 fanout,
     }
 }
 
+/* Per-server departure rings for the queue lengths JSQ and power-of-two
+ * read: ring s holds qlen[s] ascending departure epochs from head[s],
+ * mod ring_cap (a power of two).  A server is FCFS, so its departures
+ * are max(t, completion) + service in arrival order and almost always
+ * ascend: the insert is one comparison.  Its shift covers rounding, where
+ * t + (completion - t) lands below completion and a zero service time
+ * departs before its predecessor.  With every ring sorted, popping each
+ * front <= t drops exactly the departures the reference loop's global
+ * heap pops, so qlen matches the reference at every selection. */
+static inline void rfpc_drain(double t, i64 n_servers, const double *ring,
+                              i64 ring_cap, i64 *head, i64 *qlen) {
+    i64 mask = ring_cap - 1;
+    for (i64 s = 0; s < n_servers; s++) {
+        i64 q = qlen[s];
+        if (q == 0) continue;
+        const double *r = ring + s * ring_cap;
+        i64 h = head[s];
+        while (q > 0 && r[h] <= t) {
+            h = (h + 1) & mask;
+            q--;
+        }
+        head[s] = h;
+        qlen[s] = q;
+    }
+}
+
+static inline void rfpc_ring_push(double *r, i64 mask, i64 h, i64 *qlen,
+                                  double departure) {
+    i64 k = *qlen;
+    while (k > 0 && r[(h + k - 1) & mask] > departure) {
+        r[(h + k) & mask] = r[(h + k - 1) & mask];
+        k--;
+    }
+    r[(h + k) & mask] = departure;
+    (*qlen)++;
+}
+
 /* One cluster event-loop run (resumable).  mode: 0 = precomputed
  * assignment matrix, 1 = JSQ, 2 = power-of-two.  `dispatch` is the
  * dispatch generator (unused in mode 0), `servers[s]` server s's
  * generator, and (nterms, ops, par, init) the service program.
  * Per-server outputs are row-major [n_servers, cap], `out_cnt[s]` of
- * them written (so out_cnt is each server's leaf count).  `ctl`
- * carries [next request index, heap size] across ejects; the driver
+ * them written (so out_cnt is each server's leaf count).  Modes 1/2
+ * keep the departure rings (`ring` is [n_servers, ring_cap]) and, when
+ * `decisions` is non-NULL, copy each request's chosen servers into its
+ * [n, fanout] row; mode 0 reads no queue length and keeps no ring.
+ * `ctl[0]` carries the next request index across ejects; the driver
  * re-enters with the same arrays (grown) until RFPC_DONE.  The eject
  * check is amortized: before each slice the kernel computes how many
  * whole requests are guaranteed to fit (every request takes at most
- * one output slot per chosen server and fanout heap slots) and ejects
- * when that budget is zero. */
+ * one output slot and one ring slot per server) and ejects when that
+ * budget is zero. */
 i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                        i64 fanout, i64 n_servers, i64 mode,
                        const i64 *restrict assign, bitgen_t *dispatch,
@@ -2210,23 +2218,28 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                        double *restrict idles, i64 *restrict out_cnt,
                        i64 *restrict idle_cnt, i64 *restrict warmup_cnt,
                        double *restrict completion, i64 *restrict qlen,
-                       double *restrict heap_t, i64 *restrict heap_s,
-                       i64 heap_cap, double *restrict sojourns,
-                       double *restrict scratch_d, i64 *restrict scratch_i,
-                       i64 *ctl) {
+                       double *restrict ring, i64 *restrict head,
+                       i64 ring_cap, i64 *restrict decisions,
+                       double *restrict sojourns, double *restrict scratch_d,
+                       i64 *restrict scratch_i, i64 *ctl) {
     i64 j = ctl[0];
-    i64 heap_size = ctl[1];
     i64 *sel = scratch_i;             /* fanout */
     i64 *removed = scratch_i + fanout; /* fanout */
+    i64 mask = ring_cap - 1;
+    int queues = mode != 0;
     i64 rc = RFPC_DONE;
     while (j < n) {
-        i64 budget = (heap_cap - heap_size) / fanout;
-        i64 reason = RFPC_GROW_HEAP;
+        i64 budget = n - j;
+        i64 reason = RFPC_GROW_OUT;
         for (i64 s = 0; s < n_servers; s++) {
             i64 room = cap - out_cnt[s];
             if (room < budget) {
                 budget = room;
                 reason = RFPC_GROW_OUT;
+            }
+            if (queues && ring_cap - qlen[s] < budget) {
+                budget = ring_cap - qlen[s];
+                reason = RFPC_GROW_RING;
             }
         }
         if (budget <= 0) {
@@ -2234,23 +2247,22 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
             break;
         }
         i64 stop = j + budget;
-        if (stop > n) stop = n;
         for (; j < stop; j++) {
             double t = epochs[j];
-            while (heap_size > 0 && heap_t[0] <= t) {
-                qlen[heap_s[0]]--;
-                rfpc_heap_pop(heap_t, heap_s, &heap_size);
-            }
             const i64 *chosen;
             if (mode == 0) {
                 chosen = assign + j * fanout;
-            } else if (mode == 1) {
-                rfpc_jsq_select(dispatch, n_servers, fanout, qlen, scratch_d,
-                                sel);
-                chosen = sel;
             } else {
-                rfpc_p2c_select(dispatch, n_servers, fanout, qlen, sel,
-                                removed);
+                rfpc_drain(t, n_servers, ring, ring_cap, head, qlen);
+                if (mode == 1)
+                    rfpc_jsq_select(dispatch, n_servers, fanout, qlen,
+                                    scratch_d, sel);
+                else
+                    rfpc_p2c_select(dispatch, n_servers, fanout, qlen, sel,
+                                    removed);
+                if (decisions)
+                    memcpy(decisions + j * fanout, sel,
+                           (size_t)fanout * sizeof(i64));
                 chosen = sel;
             }
             int retained = j >= warmup;
@@ -2275,7 +2287,6 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                     service = service + penalty;
                 if (service < 0.0) {
                     ctl[0] = j;
-                    ctl[1] = heap_size;
                     return RFPC_ERR_NEGATIVE;
                 }
                 waits[slot] = wait;
@@ -2284,8 +2295,9 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
                 if (!retained) warmup_cnt[i]++;
                 double departure = t + wait + service;
                 completion[i] = departure;
-                rfpc_heap_push(heap_t, heap_s, &heap_size, departure, i);
-                qlen[i]++;
+                if (queues)
+                    rfpc_ring_push(ring + i * ring_cap, mask, head[i],
+                                   qlen + i, departure);
                 double sojourn = wait + service;
                 if (sojourn > worst) worst = sojourn;
             }
@@ -2293,7 +2305,6 @@ i64 rfp_cluster_events(const double *restrict epochs, i64 n, i64 warmup,
         }
     }
     ctl[0] = j;
-    ctl[1] = heap_size;
     return rc;
 }
 #endif

@@ -1,7 +1,7 @@
 """The compiled cluster event loop: byte-identity with the Python
 reference, stream end states on every bit generator, the growth ejects,
-and the eligibility ladder (spy tests proving when the kernel must NOT
-bind).
+the departure rings' boundary semantics, and the eligibility ladder
+(spy tests proving when the kernel must and must NOT bind).
 The randomized kernel-vs-oracle differential lives in
 ``test_executor_fuzz.py``.
 """
@@ -14,15 +14,24 @@ import pytest
 
 from repro.cluster import sim as sim_module
 from repro.cluster import tailobs
-from repro.cluster.arrivals import MMPPArrivals, PoissonArrivals
+from repro.cluster.arrivals import (
+    ArrivalProcess,
+    MMPPArrivals,
+    PoissonArrivals,
+)
 from repro.cluster.sim import (
     DISPATCH_STREAM,
     SERVER_STREAM_PREFIX,
     ClusterSimulator,
 )
-from repro.common.distributions import Distribution, Exponential, ServiceProgram
+from repro.common.distributions import (
+    Deterministic,
+    Distribution,
+    Exponential,
+    ServiceProgram,
+)
 from repro.common.rng import SeedSequenceFactory, derive_seed
-from repro.queueing.mg1 import RestartPenaltyService
+from repro.queueing.mg1 import DistributionService, RestartPenaltyService
 from repro.uarch import fastpath
 from repro.uarch.fastpath import cluster as fp_cluster
 
@@ -100,6 +109,29 @@ def run_oracle(sim, num_requests, warmup):
         fastpath.set_mode(None)
 
 
+def run_both(sim, num_requests, warmup=0):
+    """``(kernel result, oracle result)`` for ``sim``."""
+    fastpath.set_mode("on")
+    try:
+        compiled = sim.run(num_requests, warmup)
+    finally:
+        fastpath.set_mode(None)
+    return compiled, run_oracle(sim, num_requests, warmup)
+
+
+@dataclass(frozen=True)
+class FixedEpochs(ArrivalProcess):
+    """Arrivals at the given epochs, drawing no stream."""
+
+    times: tuple[float, ...]
+
+    def rate(self):
+        return len(self.times) / self.times[-1]
+
+    def epochs(self, streams, n):
+        return np.asarray(self.times[:n], dtype=float)
+
+
 @needs_kernel
 class TestKernelByteIdentity:
     @pytest.mark.parametrize("balancer", ["jsq", "power_of_two"])
@@ -174,9 +206,9 @@ class TestKernelByteIdentity:
             )
 
     def test_growth_paths_stay_identical(self, monkeypatch):
-        """Tiny buffers force every eject path — output doubling, heap
+        """Tiny buffers force every eject path — output doubling, ring
         doubling — without changing a single byte."""
-        monkeypatch.setattr(fp_cluster, "HEAP_CAP", 2)
+        monkeypatch.setattr(fp_cluster, "RING_CAP", 1)
         monkeypatch.setattr(
             fp_cluster, "initial_capacity", lambda n, f, s: 4
         )
@@ -187,6 +219,55 @@ class TestKernelByteIdentity:
             fastpath.set_mode(None)
         reference = run_oracle(make_sim("jsq", fanout=3, load=0.9), 1_500, 150)
         assert compiled.fastpath_servers == 5
+        assert_results_identical(compiled, reference)
+
+    @pytest.mark.parametrize("balancer", ["jsq", "power_of_two"])
+    @pytest.mark.parametrize(
+        "service",
+        [
+            DistributionService(Deterministic(1.0)),
+            # Leaves that find the server busy take no time, so they
+            # depart together with the leaf ahead of them.
+            RestartPenaltyService(Deterministic(0.0), 1.0),
+            RestartPenaltyService(Deterministic(0.5), 0.5),
+        ],
+        ids=["det", "zero-busy", "half-busy"],
+    )
+    def test_departures_on_arrival_epochs_drain(self, balancer, service):
+        """Every service time and epoch is a multiple of 0.5, so each
+        departure lands exactly on a later arrival epoch: the drain must
+        pop departures equal to the arrival (``<=``), as the oracle's
+        heap does, including several equal departures on one server."""
+        times = tuple(
+            float(t) for k in range(150) for t in (k, k, k + 0.5)
+        )
+        sim = ClusterSimulator(
+            FixedEpochs(times), service, n_servers=7, fanout=2,
+            balancer=balancer, seed=4,
+        )
+        compiled, reference = run_both(sim, len(times), 30)
+        assert compiled.fastpath_servers == 7
+        assert_results_identical(compiled, reference)
+
+    @pytest.mark.parametrize("balancer", ["jsq", "power_of_two"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rounded_departure_out_of_order(self, balancer, seed):
+        """A leaf can depart before the leaf ahead of it: with completion
+        p = 1 + 2**-52, an arrival at t = 2**-53 waits fl(p - t) = 1.0
+        and, with zero service, departs at fl(t + 1.0) = 1.0 < p.  At
+        the arrival epoch 1.0 the oracle's heap pops that departure but
+        not p, so the ring must stay sorted for its front drain to
+        agree."""
+        p = 1.0 + 2.0**-52
+        t = 2.0**-53
+        assert t + (p - t) < p
+        sim = ClusterSimulator(
+            FixedEpochs((2.0**-60, 2.0**-59, t, 1.0)),
+            RestartPenaltyService(Deterministic(0.0), p),
+            n_servers=2, fanout=1, balancer=balancer, seed=seed,
+        )
+        compiled, reference = run_both(sim, 4)
+        assert compiled.fastpath_servers == 2
         assert_results_identical(compiled, reference)
 
     def test_negative_service_raises_like_the_reference(self):
@@ -257,22 +338,23 @@ class TestEligibilityLadder:
             fastpath.set_mode(None)
         assert result.fastpath_servers == 0
 
-    def test_tailobs_enabled_never_binds(self, monkeypatch):
+    @needs_kernel
+    @pytest.mark.parametrize("balancer", ["jsq", "power_of_two"])
+    def test_tailobs_enabled_binds(self, balancer):
         """Tail telemetry on a state-dependent balancer needs the
-        per-request decisions, which only the Python loop records.
-        (State-independent balancers keep the kernel: see
-        test_tailobs.py::test_executors_produce_equal_records.)"""
-        self._bomb(monkeypatch)
-        fastpath.set_mode("on")
+        per-request decisions, which the kernel reports: it binds, and
+        the telemetry and results equal the Python loop's."""
         tailobs.reset()
         tailobs.enable()
         try:
-            result = make_sim("jsq").run(500, 50)
-            assert len(tailobs.snapshot().runs) == 1
+            compiled, reference = run_both(make_sim(balancer), 500, 50)
+            kernel_run, oracle_run = tailobs.snapshot().runs
         finally:
             tailobs.reset()
-            fastpath.set_mode(None)
-        assert result.fastpath_servers == 0
+        assert compiled.fastpath_servers == 5
+        assert reference.fastpath_servers == 0
+        assert_results_identical(compiled, reference)
+        assert kernel_run == oracle_run
 
     @needs_kernel
     def test_non_stream_safe_service_falls_back(self, monkeypatch):

@@ -65,16 +65,16 @@ def clusters(draw):
     num_requests=st.integers(1, 400),
     warmup_frac=st.floats(0.0, 0.5),
     bit_generator=st.sampled_from(BIT_GENERATORS),
-    heap_cap=st.integers(1, 8),
+    ring_cap=st.sampled_from((1, 2, 4, 8)),
     out_cap=st.integers(1, 32),
 )
 def test_kernel_matches_python_oracle(
-    sim, num_requests, warmup_frac, bit_generator, heap_cap, out_cap
+    sim, num_requests, warmup_frac, bit_generator, ring_cap, out_cap
 ):
     warmup = int(num_requests * warmup_frac)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim_module, "SeedSequenceFactory", streams_on(bit_generator))
-        mp.setattr(fp_cluster, "HEAP_CAP", heap_cap)
+        mp.setattr(fp_cluster, "RING_CAP", ring_cap)
         mp.setattr(fp_cluster, "initial_capacity", lambda n, f, s: out_cap)
         fastpath.set_mode("on")
         try:

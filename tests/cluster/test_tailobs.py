@@ -132,8 +132,9 @@ class TestAttribution:
 class TestQueueReconstruction:
     def test_matches_live_event_loop_state(self, monkeypatch):
         """The reconstructed dispatch-time queue lengths equal the queue
-        state the event loop actually showed the balancer (spied via a
-        wrapped JSQ select)."""
+        state the Python event loop actually showed the balancer (spied
+        via a wrapped JSQ select), whichever executor reported the
+        decisions the telemetry is built from."""
         from repro.cluster import balancers
 
         live = []
@@ -145,6 +146,12 @@ class TestQueueReconstruction:
             return chosen
 
         monkeypatch.setattr(balancers.JSQBalancer, "select", spy)
+        fastpath.set_mode("off")
+        try:
+            run_cluster(balancer="jsq", n=2_000, warmup=200)
+        finally:
+            fastpath.set_mode(None)
+        assert len(live) == 2_000
         tailobs.enable(TailObsConfig(reservoir=128))
         run_cluster(balancer="jsq", n=2_000, warmup=200)
         run = only_run()
@@ -255,14 +262,18 @@ class TestResultTransparency:
     @pytest.mark.skipif(
         not fastpath.is_available(), reason="no C compiler for the kernel"
     )
-    def test_executors_produce_equal_records(self):
-        """With telemetry on, a state-independent policy still runs the
-        compiled event kernel, and it reconstructs the *same* telemetry
-        as the Python oracle (same records, same attribution)."""
+    @pytest.mark.parametrize(
+        "balancer", ["random", "round_robin", "jsq", "power_of_two"]
+    )
+    def test_executors_produce_equal_records(self, balancer):
+        """With telemetry on, every policy still runs the compiled event
+        kernel (JSQ and power-of-two report their decisions from C), and
+        it reconstructs the *same* telemetry as the Python oracle (same
+        records, same attribution)."""
         tailobs.enable()
         fastpath.set_mode("on")
         try:
-            compiled = run_cluster(balancer="random", seed=3)
+            compiled = run_cluster(balancer=balancer, seed=3)
         finally:
             fastpath.set_mode(None)
         kernel = only_run()
@@ -270,7 +281,7 @@ class TestResultTransparency:
         tailobs.enable()
         fastpath.set_mode("off")
         try:
-            reference = run_cluster(balancer="random", seed=3)
+            reference = run_cluster(balancer=balancer, seed=3)
         finally:
             fastpath.set_mode(None)
         assert compiled.fastpath_servers == compiled.n_servers
